@@ -219,34 +219,45 @@ def test_generator_filter(ray_session, pages):
 
 def test_resume_equivalence(ray_session, pages, tmp_path):
     """Run 2 depths, then resume for 8 more == straight run of 10
-    (resumable semantics crawler/Crawler.java:101-110)."""
-    cfg = CrawlerConfig(fetch_concurrency=2, merge_num_buckets=8)
+    (resumable semantics crawler/Crawler.java:101-110) — also with
+    checkpoint_readback, where every depth re-reads its own parquet."""
     seeds = SPEC.seeds()
-
-    straight = BreadthCrawler(
-        str(tmp_path / "a"), True, pages, config=cfg, deterministic_time=True
-    )
-    straight.add_seed(seeds)
-    straight.add_regex(REGEX)
-    df_a = _final_state(straight.start(10))
-
-    part1 = BreadthCrawler(
-        str(tmp_path / "b"), True, pages, config=cfg, deterministic_time=True
-    )
-    part1.add_seed(seeds)
-    part1.add_regex(REGEX)
-    part1.start(2)
-
-    part2 = BreadthCrawler(
-        str(tmp_path / "b"), True, pages,
-        config=cfg.replace(resumable=True), deterministic_time=True,
-    )
-    part2.add_seed(seeds)
-    part2.add_regex(REGEX)
-    df_b = _final_state(part2.start(8))
-
     cols = ["url", "status", "execute_count", "code"]
-    assert df_a[cols].equals(df_b[cols])
+    finals = []
+    for readback in (False, True):
+        cfg = CrawlerConfig(
+            fetch_concurrency=2, merge_num_buckets=8,
+            checkpoint_readback=readback,
+        )
+        root = tmp_path / f"readback{int(readback)}"
+
+        straight = BreadthCrawler(
+            str(root / "a"), True, pages, config=cfg,
+            deterministic_time=True,
+        )
+        straight.add_seed(seeds)
+        straight.add_regex(REGEX)
+        df_a = _final_state(straight.start(10))
+
+        part1 = BreadthCrawler(
+            str(root / "b"), True, pages, config=cfg,
+            deterministic_time=True,
+        )
+        part1.add_seed(seeds)
+        part1.add_regex(REGEX)
+        part1.start(2)
+
+        part2 = BreadthCrawler(
+            str(root / "b"), True, pages,
+            config=cfg.replace(resumable=True), deterministic_time=True,
+        )
+        part2.add_seed(seeds)
+        part2.add_regex(REGEX)
+        df_b = _final_state(part2.start(8))
+
+        assert df_a[cols].equals(df_b[cols])
+        finals.append(df_a[cols])
+    assert finals[0].equals(finals[1])
 
 
 def test_forced_seed_overwrites(ray_session, pages, tmp_path):

@@ -11,7 +11,7 @@ import ray.data as rd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from webcollector_ray.functions.joins import asof_join, hash_join
+from webcollector_ray.functions.joins import asof_join, bucket_slices, hash_join
 
 
 def _collect(ds) -> pd.DataFrame:
@@ -193,6 +193,41 @@ def test_range_join_matches_pandas(ray_session, lrows, rrows, lo, width):
         sorted(map(tuple, got[key].to_numpy().tolist()))
         == sorted(map(tuple, want[key].to_numpy().tolist()))
     )
+
+
+def test_bucket_slices_none_empty_and_single():
+    """None or empty input -> every slice None; n == 1 returns the one
+    slice bare (Ray's num_returns=1 contract), not a 1-tuple."""
+    assert bucket_slices(None, None, 3) == (None, None, None)
+    assert bucket_slices(None, None, 1) is None
+    empty = pa.table({"v": pa.array([], pa.int64())})
+    assert bucket_slices(empty, np.zeros(0, np.int32), 2) == (None, None)
+    t = pa.table({"v": [3, 1, 2]})
+    one = bucket_slices(t, np.zeros(3, np.int32), 1)
+    assert isinstance(one, pa.Table) and one.equals(t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+    extra=st.integers(0, 3),
+)
+def test_bucket_slices_partition_rows_in_order(ids, extra):
+    """Every row lands in exactly the slice its id names, rows keep
+    their input order inside a bucket, empty buckets are None."""
+    n = max(ids) + 1 + extra
+    b = np.asarray(ids, dtype=np.int32)
+    t = pa.table({"row": pa.array(np.arange(len(ids)))})
+    out = bucket_slices(t, b, n)
+    out = [out] if n == 1 else list(out)
+    assert len(out) == n
+    for k, sl in enumerate(out):
+        want = np.nonzero(b == k)[0].tolist()
+        if not want:
+            assert sl is None
+        else:
+            assert sl["row"].to_pylist() == want
+    assert sum(len(sl) for sl in out if sl is not None) == len(ids)
 
 
 def test_range_join_mega_key_bounded(ray_session):

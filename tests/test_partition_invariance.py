@@ -67,17 +67,20 @@ def test_graph_ops_partition_invariant(ray_session):
     )
 
     for fn in (
-        lambda ds: hits_fixed(ds, iters=2, num_buckets=4),
-        lambda ds: pagerank_seeded(
-            ds, ["n0", "n1"], iters=2, num_buckets=4
+        lambda ds, nb: hits_fixed(ds, iters=2, num_buckets=nb),
+        lambda ds, nb: pagerank_seeded(
+            ds, ["n0", "n1"], iters=2, num_buckets=nb
         ),
-        lambda ds: kcore_peel(ds, k=3, rounds=2, num_buckets=4),
-        lambda ds: label_propagation(ds, iters=3, num_buckets=4),
-        lambda ds: ra_link_prediction(ds, k=20, num_buckets=4),
+        lambda ds, nb: kcore_peel(ds, k=3, rounds=2, num_buckets=nb),
+        lambda ds, nb: label_propagation(ds, iters=3, num_buckets=nb),
+        lambda ds, nb: ra_link_prediction(ds, k=20, num_buckets=nb),
     ):
-        a = _canon(fn(_split_ds(t, 1)).to_pandas())
-        b = _canon(fn(_split_ds(t, 6)).to_pandas())
+        a = _canon(fn(_split_ds(t, 1), 4).to_pandas())
+        b = _canon(fn(_split_ds(t, 6), 4).to_pandas())
         pd.testing.assert_frame_equal(a, b)
+        # one bucket: every split task's single return comes back bare
+        c = _canon(fn(_split_ds(t, 6), 1).to_pandas())
+        pd.testing.assert_frame_equal(a, c)
 
 
 def test_sketches_partition_invariant(ray_session):

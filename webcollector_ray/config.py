@@ -8,6 +8,12 @@ util/ConfigurationUtils.java:14-22).
 
 Extra fields beyond the reference (marked "north_rule") configure the
 scale path: seen-filter sharding, host salting, merge bucketing.
+
+Every field is read by the engine; a reference knob with no effect here
+is left out rather than accepted and ignored. Connect/read timeouts and
+redirects belong to the page store (`net.HttpRequester`, which never
+follows redirects itself), and checkpointing is on exactly when the
+crawler is given a `crawl_path`.
 """
 
 from __future__ import annotations
@@ -26,10 +32,7 @@ class CrawlerConfig:
     # --- reference defaults (util/Config.java:27-42) ---
     topn: int = 0                      # TOP_N: per-depth generate cap, 0 = unlimited
     max_execute_count: int = 10        # MAX_EXECUTE_COUNT: retry limit per datum
-    connect_timeout_ms: int = 3000     # TIMEOUT_CONNECT
-    read_timeout_ms: int = 10000       # TIMEOUT_READ
     execute_interval_ms: int = 0       # EXECUTE_INTERVAL: politeness delay
-    max_redirect: int = 2              # MAX_REDIRECT
     max_receive_size: int = 10 * 1024 * 1024  # MAX_RECEIVE_SIZE: body byte cap
     user_agent: str = DEFAULT_USER_AGENT
     auto_detect_img: bool = False      # AUTO_DETECT_IMG: parse *[src] links too
@@ -38,10 +41,8 @@ class CrawlerConfig:
     # --- Ray execution knobs (this engine, not the reference) ---
     fetch_concurrency: int = 8         # actor-pool size for the fetch stage
     fetch_batch_size: int = 256        # frontier rows per fetch batch
-    parse_batch_size: int = 64         # pages per parse batch (html is wide)
-    merge_num_buckets: int = 64        # hash buckets for the merge groupby (A1)
-    checkpoint: bool = True            # write per-depth parquet checkpoints
-    resumable: bool = False            # keep / reuse existing crawldb dir
+    merge_num_buckets: int = 64        # hash buckets for the merge exchange (A1)
+    resumable: bool = False            # keep / reuse the crawl_path checkpoints
     checkpoint_readback: bool = False  # re-read each depth's parquet instead
                                        # of keeping object-store refs: lets
                                        # the store evict frontier state at

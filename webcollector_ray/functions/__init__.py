@@ -1,34 +1,4 @@
-from .textstats import (  # noqa: F401
-    LangIdStage,
-    bpe_ish_token_count_batch,
-    md5_fingerprint_batch,
-    quality_batch,
-    rolling_fingerprint_batch,
-    token_count_batch,
-)
-from .dedup import (  # noqa: F401
-    embedding_dedup_pairs,
-    exact_dedup,
-    minhash_dedup_pairs,
-    ngram_jaccard,
-    simhash_dedup_pairs,
-    verify_pairs_exact_jaccard,
-)
-from .similarity import (  # noqa: F401
-    IVFIndex,
-    knn_brute,
-    knn_ivf,
-    knn_ivf_pivot,
-)
-from .sketches import (  # noqa: F401
-    approx_distinct_hll,
-    quantiles_by_key,
-    stratified_sample,
-    vocab_top_words,
-)
-from .windows import session_windows, tumbling_window_agg  # noqa: F401
-from .pii import pii_scrub_batch  # noqa: F401
-from .decontam import build_eval_gram_set, contamination_flags  # noqa: F401
-from .lm import train_unigram_lm, unigram_lm_score  # noqa: F401
-from .packing import packed_sequences  # noqa: F401
-from .graph import pagerank_fixed  # noqa: F401
+"""Training-pipeline operators over Ray Data (text stats, dedup,
+similarity, sketches, windows, joins, graph). Import the submodule you
+need: the package itself imports nothing, so a worker that only runs
+the crawl's exchange kernel (joins) never loads the rest."""

@@ -34,6 +34,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from .joins import bucket_slices, fan_out, fan_out_grouped
+
 _MERSENNE = (1 << 61) - 1
 
 
@@ -562,18 +564,6 @@ def _cc_bucket_of(ids: np.ndarray, num_buckets: int) -> np.ndarray:
     return (np.abs(ids * np.int64(0x9E3779B9)) % num_buckets).astype(np.int64)
 
 
-def _cc_split_table(t: pa.Table, buckets: np.ndarray, num_buckets: int):
-    order = np.argsort(buckets, kind="stable")
-    sorted_b = buckets[order]
-    bounds = np.searchsorted(sorted_b, np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out
-
-
 @ray.remote
 def _cc_split_edges(num_buckets: int, *blocks):
     """Pair blocks -> per-bucket symmetric edge tables (node, peer)."""
@@ -584,15 +574,13 @@ def _cc_split_edges(num_buckets: int, *blocks):
         parts_a.append(t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64))
         parts_b.append(t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64))
     if not parts_a:
-        out = [None] * num_buckets
-        return out[0] if num_buckets == 1 else tuple(out)
+        return bucket_slices(None, None, num_buckets)
     a = np.concatenate(parts_a)
     b = np.concatenate(parts_b)
     node = np.concatenate([a, b])
     peer = np.concatenate([b, a])
     t = pa.table({"node": pa.array(node), "peer": pa.array(peer)})
-    out = _cc_split_table(t, _cc_bucket_of(node, num_buckets), num_buckets)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _cc_bucket_of(node, num_buckets), num_buckets)
 
 
 @ray.remote(num_returns=2)
@@ -631,8 +619,7 @@ def _cc_candidates(num_buckets: int, edges, labels, *star_in):
         [lab["label"].to_numpy(), m["label"].to_numpy()]
     ).astype(np.int64)
     t = pa.table({"node": pa.array(node), "label": pa.array(label)})
-    out = _cc_split_table(t, _cc_bucket_of(node, num_buckets), num_buckets)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _cc_bucket_of(node, num_buckets), num_buckets)
 
 
 @ray.remote
@@ -661,10 +648,12 @@ def _cc_reduce(num_buckets: int, *cand_parts):
     src = np.concatenate([label[m], node[m]])
     dst = np.concatenate([node[m], label[m]])
     star = pa.table({"node": pa.array(src), "peer": pa.array(dst)})
-    star_slices = _cc_split_table(
+    star_slices = bucket_slices(
         star, _cc_bucket_of(src, num_buckets), num_buckets
     )
-    return (labels_tbl, check) + tuple(star_slices)
+    if num_buckets == 1:  # one bare slice; this task has 2 + n returns
+        star_slices = (star_slices,)
+    return (labels_tbl, check) + star_slices
 
 
 def cluster_pairs_minlabel(
@@ -692,17 +681,9 @@ def cluster_pairs_minlabel(
     import ray as _ray
     import ray.data as rd
 
-    block_refs = pairs_ds.to_arrow_refs()
-    ngroups = max(1, min(len(block_refs), num_buckets))
-    split_refs = []
-    for g in range(ngroups):
-        group = block_refs[g::ngroups]
-        refs = _cc_split_edges.options(num_returns=num_buckets).remote(
-            num_buckets, *group
-        )
-        if num_buckets == 1:
-            refs = [refs]
-        split_refs.append(refs)
+    split_refs = fan_out_grouped(
+        _cc_split_edges, pairs_ds.to_arrow_refs(), num_buckets, num_buckets
+    )
     edge_refs, label_refs = [], []
     for b in range(num_buckets):
         e_r, l_r = _cc_init_bucket.remote(*[sr[b] for sr in split_refs])
@@ -712,14 +693,13 @@ def cluster_pairs_minlabel(
     star_in = [[None] * num_buckets for _ in range(num_buckets)]  # [dst][src]
     prev = None
     for _round in range(max_iters):
-        cand = []  # [src][dst]
-        for b in range(num_buckets):
-            refs = _cc_candidates.options(num_returns=num_buckets).remote(
-                num_buckets, edge_refs[b], label_refs[b], *star_in[b]
+        cand = [  # [src][dst]
+            fan_out(
+                _cc_candidates, num_buckets,
+                edge_refs[b], label_refs[b], *star_in[b],
             )
-            if num_buckets == 1:
-                refs = [refs]
-            cand.append(refs)
+            for b in range(num_buckets)
+        ]
         new_labels, check_refs = [], []
         star_out = []  # [dst-as-src-next-round][...]
         for d in range(num_buckets):

@@ -28,16 +28,9 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from .joins import _bucket_ids, bucket_slices, fan_out
+
 SCALE = 10**12
-
-
-def _tag_by(col_vals, num_buckets: int) -> np.ndarray:
-    t = np.asarray(col_vals, dtype=object)
-    if not len(t):
-        return np.zeros(0, dtype=np.int32)
-    return (
-        pd.util.hash_array(t, categorize=False) % np.uint64(num_buckets)
-    ).astype(np.int32)
 
 
 def _bucket_refs(ds, num_buckets: int):
@@ -72,7 +65,8 @@ def pagerank_fixed(
     def tag_edges(batch: pa.Table) -> pa.Table:
         out = batch.select([src_col, dst_col])
         return out.append_column(
-            "__bucket", pa.array(_tag_by(out[src_col].to_pylist(), num_buckets))
+            "__bucket",
+            pa.array(_bucket_ids(out[src_col].to_pylist(), num_buckets)),
         )
 
     edges_empty = pa.table(
@@ -107,7 +101,7 @@ def pagerank_fixed(
         return pa.table(
             {
                 "url": pa.array(vs, pa.string()),
-                "__bucket": pa.array(_tag_by(vs, num_buckets)),
+                "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
             }
         )
 
@@ -139,13 +133,11 @@ def pagerank_fixed(
     rank_refs = [_pr_init.remote(r, r_init) for r in node_refs]
     for _ in range(iters):
         parts = [
-            _pr_zip_contrib.options(num_returns=num_buckets).remote(
-                num_buckets, src_col, dst_col, e, rk
+            fan_out(
+                _pr_zip_contrib, num_buckets, src_col, dst_col, e, rk
             )
             for e, rk in zip(es_refs, rank_refs)
         ]
-        if num_buckets == 1:
-            parts = [[p] for p in parts]
         rank_refs = [
             _pr_update.remote(node_refs[b], base, *[p[b] for p in parts])
             for b in range(num_buckets)
@@ -169,12 +161,11 @@ def _pr_zip_contrib(
 ):
     """Ranks merge onto the co-bucketed edges by src; per-edge
     contribution r // outdeg splits by the dst hash."""
-    empty = [None] * num_buckets
     if (
         edges_block is None or ranks_block is None
         or len(edges_block) == 0 or len(ranks_block) == 0
     ):
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     e = edges_block.select([src_col, dst_col, "outdeg"]).to_pandas()
     r = ranks_block.to_pandas().rename(columns={"url": src_col})
     m = e.merge(r, on=src_col)
@@ -184,18 +175,9 @@ def _pr_zip_contrib(
         {
             "v": pa.array(vs, pa.string()),
             "c": pa.array(c),
-            "__bucket": pa.array(_tag_by(vs, num_buckets)),
         }
     )
-    b = t["__bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _bucket_ids(vs, num_buckets), num_buckets)
 
 
 @ray.remote
@@ -260,7 +242,7 @@ def hits_fixed(
     def tag(batch: pa.Table, key: str) -> pa.Table:
         return batch.append_column(
             "__bucket",
-            pa.array(_tag_by(batch[key].to_pylist(), num_buckets)),
+            pa.array(_bucket_ids(batch[key].to_pylist(), num_buckets)),
         )
 
     e_empty = pa.table(
@@ -294,7 +276,7 @@ def hits_fixed(
         )
         return pa.table(
             {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_tag_by(vs, num_buckets))}
+             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
         )
 
     nodes_empty = pa.table({"url": pa.array([], pa.string())})
@@ -324,13 +306,11 @@ def hits_fixed(
 
     def half(edge_refs, scores, join_col, emit_col):
         parts = [
-            _hits_zip_contrib.options(num_returns=num_buckets).remote(
-                num_buckets, join_col, emit_col, e, s
+            fan_out(
+                _hits_zip_contrib, num_buckets, join_col, emit_col, e, s
             )
             for e, s in zip(edge_refs, scores)
         ]
-        if num_buckets == 1:
-            parts = [[p] for p in parts]
         raw_sub = [
             _hits_sum_raw.remote(node_refs[b], *[p[b] for p in parts])
             for b in range(num_buckets)
@@ -374,12 +354,11 @@ def _hits_zip_contrib(
     """Bucket-aligned zip: scores merge onto the co-bucketed edges by
     `join_col`; contributions (emit node, score) split by the emit
     node's hash for the summing wave."""
-    empty = [None] * num_buckets
     if (
         edges_block is None or scores_block is None
         or len(edges_block) == 0 or len(scores_block) == 0
     ):
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     e = edges_block.select([join_col, emit_col]).to_pandas()
     r = scores_block.to_pandas().rename(columns={"url": join_col})
     m = e.merge(r, on=join_col)
@@ -388,18 +367,9 @@ def _hits_zip_contrib(
         {
             "v": pa.array(vs, pa.string()),
             "c": pa.array(m["s"].to_numpy(np.int64)),
-            "__bucket": pa.array(_tag_by(vs, num_buckets)),
         }
     )
-    b = t["__bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _bucket_ids(vs, num_buckets), num_buckets)
 
 
 @ray.remote(num_returns=2)
@@ -478,7 +448,7 @@ def degree_histogram(
     def tag(batch: pa.Table, key: str) -> pa.Table:
         return batch.append_column(
             "__bucket",
-            pa.array(_tag_by(batch[key].to_pylist(), num_buckets)),
+            pa.array(_bucket_ids(batch[key].to_pylist(), num_buckets)),
         )
 
     e_empty = pa.table(
@@ -510,7 +480,7 @@ def degree_histogram(
         )
         return pa.table(
             {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_tag_by(vs, num_buckets))}
+             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
         )
 
     nodes_empty = pa.table({"url": pa.array([], pa.string())})
@@ -931,7 +901,9 @@ def kcore_peel(
             {
                 "a": pa.array(und["a"], pa.string()),
                 "b": pa.array(und["b"], pa.string()),
-                "__bucket": pa.array(_tag_by(und["a"].tolist(), num_buckets)),
+                "__bucket": pa.array(
+                    _bucket_ids(und["a"].tolist(), num_buckets)
+                ),
             }
         )
 
@@ -954,7 +926,8 @@ def kcore_peel(
                  else pa.nulls(n, types[c])) for c in cols}
         )
         return out.append_column(
-            "__bucket", pa.array(_tag_by(out[key].to_pylist(), num_buckets))
+            "__bucket",
+            pa.array(_bucket_ids(out[key].to_pylist(), num_buckets)),
         )
 
     a_empty = pa.table({"v": pa.array([], pa.string())})
@@ -966,7 +939,7 @@ def kcore_peel(
             return pa.table(
                 {
                     "v": pa.array(vs, pa.string()),
-                    "__bucket": pa.array(_tag_by(vs, num_buckets)),
+                    "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
                 }
             )
 
@@ -1016,7 +989,7 @@ def kcore_peel(
         return pa.table(
             {
                 "v": pa.array(vs, pa.string()),
-                "__bucket": pa.array(_tag_by(vs, num_buckets)),
+                "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
             }
         )
 
@@ -1068,7 +1041,7 @@ def pagerank_seeded(
         out = batch.select([src_col, dst_col])
         return out.append_column(
             "__bucket",
-            pa.array(_tag_by(out[src_col].to_pylist(), num_buckets)),
+            pa.array(_bucket_ids(out[src_col].to_pylist(), num_buckets)),
         )
 
     edges_empty = pa.table(
@@ -1099,7 +1072,7 @@ def pagerank_seeded(
         )
         return pa.table(
             {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_tag_by(vs, num_buckets))}
+             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
         )
 
     nodes_empty = pa.table({"url": pa.array([], pa.string())})
@@ -1123,13 +1096,11 @@ def pagerank_seeded(
     ]
     for _ in range(iters):
         parts = [
-            _pr_zip_contrib.options(num_returns=num_buckets).remote(
-                num_buckets, src_col, dst_col, e, rk
+            fan_out(
+                _pr_zip_contrib, num_buckets, src_col, dst_col, e, rk
             )
             for e, rk in zip(es_refs, rank_refs)
         ]
-        if num_buckets == 1:
-            parts = [[p] for p in parts]
         rank_refs = [
             _ppr_update.remote(
                 node_refs[b], seeds_ref, base, *[p[b] for p in parts]
@@ -1209,7 +1180,7 @@ def assortativity_sums(
                 "a": pa.array(und["a"], pa.string()),
                 "b": pa.array(und["b"], pa.string()),
                 "__bucket": pa.array(
-                    _tag_by(und["a"].tolist(), num_buckets)
+                    _bucket_ids(und["a"].tolist(), num_buckets)
                 ),
             }
         )
@@ -1228,7 +1199,7 @@ def assortativity_sums(
         return pa.table(
             {
                 "v": pa.array(vs, pa.string()),
-                "__bucket": pa.array(_tag_by(vs, num_buckets)),
+                "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
             }
         )
 
@@ -1262,7 +1233,7 @@ def assortativity_sums(
         )
         return out.append_column(
             "__bucket",
-            pa.array(_tag_by(out[key].to_pylist(), num_buckets)),
+            pa.array(_bucket_ids(out[key].to_pylist(), num_buckets)),
         )
 
     ea_empty = pa.table(
@@ -1357,7 +1328,7 @@ def _sym_simple_edges(edges_ds, src_col: str, dst_col: str,
                 "ctr": pa.array(out["ctr"], pa.string()),
                 "nbr": pa.array(out["nbr"], pa.string()),
                 "__bucket": pa.array(
-                    _tag_by(out["ctr"].to_numpy(dtype=object), num_buckets)
+                    _bucket_ids(out["ctr"].to_numpy(dtype=object), num_buckets)
                 ),
             }
         )
@@ -1388,12 +1359,11 @@ def _lp_init(sym_block: pa.Table) -> pa.Table:
 def _lp_zip(num_buckets: int, sym_block, labels_block):
     """Labels merge onto the co-bucketed sym edges by provider (ctr);
     each (nbr, label-of-ctr) vote splits by the RECEIVER's hash."""
-    empty = [None] * num_buckets
     if (
         sym_block is None or labels_block is None
         or len(sym_block) == 0 or len(labels_block) == 0
     ):
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     e = sym_block.select(["ctr", "nbr"]).to_pandas()
     lab = labels_block.to_pandas().rename(columns={"url": "ctr"})
     m = e.merge(lab, on="ctr")
@@ -1402,18 +1372,9 @@ def _lp_zip(num_buckets: int, sym_block, labels_block):
         {
             "v": pa.array(vs, pa.string()),
             "label": pa.array(m["label"].tolist(), pa.string()),
-            "__bucket": pa.array(_tag_by(vs, num_buckets)),
         }
     )
-    b = t["__bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _bucket_ids(vs, num_buckets), num_buckets)
 
 
 @ray.remote
@@ -1476,13 +1437,11 @@ def label_propagation(
     label_refs = [_lp_init.remote(r) for r in sym_refs]
     for _ in range(iters):
         parts = [
-            _lp_zip.options(num_returns=num_buckets).remote(
-                num_buckets, e, lb
+            fan_out(
+                _lp_zip, num_buckets, e, lb
             )
             for e, lb in zip(sym_refs, label_refs)
         ]
-        if num_buckets == 1:
-            parts = [[p] for p in parts]
         label_refs = [
             _lp_vote.remote(label_refs[b], *[p[b] for p in parts])
             for b in range(num_buckets)
@@ -1571,7 +1530,7 @@ def ra_link_prediction(
         key = np.asarray(
             [f"{a}\x00{b}" for a, b in zip(a_o, b_o)], dtype=object
         )
-        bk = _tag_by(key, num_buckets)
+        bk = _bucket_ids(key, num_buckets)
         return pa.table(
             {
                 "a": pa.array(a_o, pa.string()),
@@ -1666,7 +1625,7 @@ def bfs_landmarks(
         out = batch.select([src_col, dst_col])
         return out.append_column(
             "__bucket",
-            pa.array(_tag_by(out[src_col].to_pylist(), num_buckets)),
+            pa.array(_bucket_ids(out[src_col].to_pylist(), num_buckets)),
         )
 
     edges_empty = pa.table(
@@ -1686,7 +1645,7 @@ def bfs_landmarks(
         )
         return pa.table(
             {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_tag_by(vs, num_buckets))}
+             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
         )
 
     nodes_empty = pa.table({"url": pa.array([], pa.string())})
@@ -1708,13 +1667,11 @@ def bfs_landmarks(
     ]
     for d in range(1, max_depth + 1):
         parts = [
-            _bfsl_frontier.options(num_returns=num_buckets).remote(
-                num_buckets, src_col, dst_col, e, nb, dm, d
+            fan_out(
+                _bfsl_frontier, num_buckets, src_col, dst_col, e, nb, dm, d
             )
             for e, nb, dm in zip(es_refs, node_refs, dist_refs)
         ]
-        if num_buckets == 1:
-            parts = [[p] for p in parts]
         dist_refs = [
             _bfsl_update.remote(
                 node_refs[b], dist_refs[b], d, *[p[b] for p in parts]
@@ -1746,35 +1703,25 @@ def _bfsl_frontier(
     """Wave 1: (node, lm) cells settled at depth d-1 zip onto the
     co-bucketed out-edges; emit deduped (dst, lm) pairs split by the
     dst hash."""
-    empty = [None] * num_buckets
     ni, lj = np.where(dist == d - 1)
     if (
         edges_block is None or len(edges_block) == 0 or not len(ni)
     ):
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     urls = np.asarray(nodes_block["url"].to_pylist(), dtype=object)
     fr = pd.DataFrame({src_col: urls[ni], "lm": lj.astype(np.int16)})
     e = edges_block.select([src_col, dst_col]).to_pandas()
     m = e.merge(fr, on=src_col)[[dst_col, "lm"]].drop_duplicates()
     if not len(m):
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     vs = m[dst_col].tolist()
     t = pa.table(
         {
             "v": pa.array(vs, pa.string()),
             "lm": pa.array(m["lm"].to_numpy(np.int16)),
-            "__bucket": pa.array(_tag_by(vs, num_buckets)),
         }
     )
-    b = t["__bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _bucket_ids(vs, num_buckets), num_buckets)
 
 
 @ray.remote
@@ -1862,7 +1809,7 @@ def scc_coloring(
             out = batch.select([src_col, dst_col])
             return out.append_column(
                 "__bucket",
-                pa.array(_tag_by(out[col].to_pylist(), num_buckets)),
+                pa.array(_bucket_ids(out[col].to_pylist(), num_buckets)),
             )
         return f
 
@@ -1887,7 +1834,7 @@ def scc_coloring(
         )
         return pa.table(
             {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_tag_by(vs, num_buckets))}
+             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
         )
 
     nodes_empty = pa.table({"url": pa.array([], pa.string())})
@@ -1926,15 +1873,14 @@ def scc_coloring(
             if it > max_iters:
                 raise RuntimeError("scc forward fixpoint did not converge")
             parts = [
-                _scc_fwd_frontier.options(num_returns=num_buckets).remote(
-                    num_buckets, src_col, dst_col, e, nb, c, s, dl
+                fan_out(
+                    _scc_fwd_frontier, num_buckets,
+                    src_col, dst_col, e, nb, c, s, dl,
                 )
                 for e, nb, c, s, dl in zip(
                     fwd_refs, node_refs, color_refs, scc_refs, delta_refs
                 )
             ]
-            if num_buckets == 1:
-                parts = [[p] for p in parts]
             upd = [
                 _scc_fwd_update.options(num_returns=3).remote(
                     node_refs[b], color_refs[b], scc_refs[b],
@@ -1959,15 +1905,14 @@ def scc_coloring(
             if it > max_iters:
                 raise RuntimeError("scc backward fixpoint did not converge")
             parts = [
-                _scc_bwd_frontier.options(num_returns=num_buckets).remote(
-                    num_buckets, src_col, dst_col, e, nb, c, fr
+                fan_out(
+                    _scc_bwd_frontier, num_buckets,
+                    src_col, dst_col, e, nb, c, fr,
                 )
                 for e, nb, c, fr in zip(
                     rev_refs, node_refs, color_refs, front_refs
                 )
             ]
-            if num_buckets == 1:
-                parts = [[p] for p in parts]
             upd = [
                 _scc_bwd_update.options(num_returns=3).remote(
                     node_refs[b], color_refs[b], scc_refs[b],
@@ -2040,35 +1985,25 @@ def _scc_fwd_frontier(
     """Forward wave 1: active srcs whose color changed last wave push
     their color along co-bucketed out-edges; per-dst min taken in the
     task, then split by the dst hash."""
-    empty = [None] * num_buckets
     active = np.asarray([x is None for x in scc], dtype=bool)
     send = active & delta
     if edges_block is None or len(edges_block) == 0 or not send.any():
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     urls = np.asarray(nodes_block["url"].to_pylist(), dtype=object)
     fr = pd.DataFrame({src_col: urls[send], "c": color[send]})
     e = edges_block.select([src_col, dst_col]).to_pandas()
     m = e.merge(fr, on=src_col)
     if not len(m):
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     g = m.groupby(dst_col, sort=False)["c"].min().reset_index()
     vs = g[dst_col].tolist()
     t = pa.table(
         {
             "v": pa.array(vs, pa.string()),
             "c": pa.array(g["c"].tolist(), pa.string()),
-            "__bucket": pa.array(_tag_by(vs, num_buckets)),
         }
     )
-    b = t["__bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _bucket_ids(vs, num_buckets), num_buckets)
 
 
 @ray.remote
@@ -2116,32 +2051,22 @@ def _scc_bwd_frontier(
     """Backward wave 1: nodes settled last wave pull in-neighbours —
     rev edge blocks are dst-bucketed, so the frontier state is local;
     emit (src, color) split by the src hash."""
-    empty = [None] * num_buckets
     if edges_block is None or len(edges_block) == 0 or not front.any():
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     urls = np.asarray(nodes_block["url"].to_pylist(), dtype=object)
     fr = pd.DataFrame({dst_col: urls[front], "c": color[front]})
     e = edges_block.select([src_col, dst_col]).to_pandas()
     m = e.merge(fr, on=dst_col)[[src_col, "c"]].drop_duplicates()
     if not len(m):
-        return empty[0] if num_buckets == 1 else tuple(empty)
+        return bucket_slices(None, None, num_buckets)
     vs = m[src_col].tolist()
     t = pa.table(
         {
             "v": pa.array(vs, pa.string()),
             "c": pa.array(m["c"].tolist(), pa.string()),
-            "__bucket": pa.array(_tag_by(vs, num_buckets)),
         }
     )
-    b = t["__bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, _bucket_ids(vs, num_buckets), num_buckets)
 
 
 @ray.remote
@@ -2178,5 +2103,5 @@ def _scc_emit(nodes_block: pa.Table, scc: np.ndarray, num_buckets: int):
         }
     )
     return t.append_column(
-        "__bucket", pa.array(_tag_by(list(scc), num_buckets))
+        "__bucket", pa.array(_bucket_ids(list(scc), num_buckets))
     )

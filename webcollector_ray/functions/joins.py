@@ -20,23 +20,52 @@ import pyarrow.compute as pc
 import ray
 
 
+def bucket_slices(table: Optional[pa.Table], bucket_ids, n: int):
+    """The exchange's one split kernel: `table`'s rows -> n per-bucket
+    slices by `bucket_ids` (each in [0, n)), input order kept inside a
+    bucket, None for an empty bucket or a None/empty table. Shaped as a
+    split task's return value: one slice comes back bare, as Ray's
+    num_returns=1 contract requires."""
+    if table is None or len(table) == 0:
+        out = [None] * n
+    else:
+        order = np.argsort(bucket_ids, kind="stable")
+        bounds = np.searchsorted(bucket_ids[order], np.arange(n + 1))
+        shuffled = table.take(pa.array(order))
+        out = [
+            shuffled.slice(lo, hi - lo) if hi > lo else None
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    return out[0] if n == 1 else tuple(out)
+
+
+def fan_out(split_task, n: int, *args) -> list:
+    """Launch `split_task(n, *args)` with num_returns=n -> always an
+    n-long list of refs (Ray hands back a bare ref when n == 1)."""
+    refs = split_task.options(num_returns=n).remote(n, *args)
+    return [refs] if n == 1 else refs
+
+
+def fan_out_grouped(split_task, blocks: list, n: int, max_tasks: int):
+    """Spread `blocks` over at most `max_tasks` split tasks (block j
+    goes to task j % ngroups) -> one n-long ref list per task, so the
+    driver manages O(max_tasks * n) refs per exchange, not
+    O(len(blocks) * n)."""
+    ngroups = max(1, min(len(blocks), max_tasks))
+    return [
+        fan_out(split_task, n, *blocks[g::ngroups]) for g in range(ngroups)
+    ]
+
+
 @ray.remote
 def _split_by_bucket(num_buckets: int, *blocks):
     """Tagged blocks -> per-bucket slices (None when empty)."""
     tabs = [t for t in blocks if t is not None and len(t)]
     if not tabs:
-        out = [None] * num_buckets
-        return out[0] if num_buckets == 1 else tuple(out)
+        return bucket_slices(None, None, num_buckets)
     t = pa.concat_tables(tabs, promote_options="permissive")
     b = t["__bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    shuffled = t.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(t, b, num_buckets)
 
 
 @ray.remote
@@ -61,16 +90,9 @@ def exchange_reduce(ds, reduce_fn, empty: pa.Table, num_buckets: int,
     blocks = list(ds.to_arrow_refs())
     if not blocks:
         return rd.from_arrow(empty)
-    ngroups = max(1, min(len(blocks), max_split_tasks))
-    split_refs = []
-    for g in range(ngroups):
-        group = blocks[g::ngroups]
-        refs = _split_by_bucket.options(num_returns=num_buckets).remote(
-            num_buckets, *group
-        )
-        if num_buckets == 1:
-            refs = [refs]
-        split_refs.append(refs)
+    split_refs = fan_out_grouped(
+        _split_by_bucket, blocks, num_buckets, max_split_tasks
+    )
     fn_ref = ray.put(reduce_fn)
     out_refs = [
         _join_reduce.remote(fn_ref, empty, *[sr[b] for sr in split_refs])
@@ -131,16 +153,17 @@ def _emit(df: pd.DataFrame, out_cols, out_types: Dict[str, pa.DataType]) -> pa.T
 
 
 def _bucket_ids(col, num_buckets: int) -> np.ndarray:
-    """Hash-bucket a key column; multiplicative hash for integer keys,
-    pandas' vectorized fixed-key siphash for everything else — never a
-    per-row Python loop (this is on every exchange's tag path)."""
-    if pa.types.is_integer(col.type):
-        v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = v * np.uint64(0x9E3779B97F4A7C15)
-        return (h % np.uint64(num_buckets)).astype(np.int32)
-    h = pd.util.hash_array(
-        np.asarray(col.to_pylist(), dtype=object), categorize=False
-    )
+    """Hash-bucket a key column; multiplicative hash for integer Arrow
+    keys, pandas' vectorized fixed-key siphash for everything else
+    (strings, and any plain sequence or object array of keys) — never
+    a per-row Python loop (this is on every exchange's tag path)."""
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        if pa.types.is_integer(col.type):
+            v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
+            h = v * np.uint64(0x9E3779B97F4A7C15)
+            return (h % np.uint64(num_buckets)).astype(np.int32)
+        col = col.to_pylist()
+    h = pd.util.hash_array(np.asarray(col, dtype=object), categorize=False)
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 

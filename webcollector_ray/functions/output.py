@@ -216,23 +216,16 @@ def write_partitioned_parquet(
             f.write(str(len(out)))
         return pid, len(out)
 
-    from .joins import _split_by_bucket
+    from .joins import _split_by_bucket, fan_out_grouped
 
     blocks = list(
         ds.map_batches(tag, batch_format="pyarrow").to_arrow_refs()
     )
     if not blocks:
         return {}
-    ngroups = max(1, min(len(blocks), 32))
-    split_refs = []
-    for g in range(ngroups):
-        group = blocks[g::ngroups]
-        refs = _split_by_bucket.options(
-            num_returns=num_partitions
-        ).remote(num_partitions, *group)
-        if num_partitions == 1:
-            refs = [refs]
-        split_refs.append(refs)
+    split_refs = fan_out_grouped(
+        _split_by_bucket, blocks, num_partitions, 32
+    )
     out_refs = [
         write_part.remote(p, *[sr[p] for sr in split_refs])
         for p in range(num_partitions)

@@ -31,6 +31,7 @@ start()).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
@@ -42,9 +43,9 @@ import ray.data as rd
 
 from ..config import CrawlerConfig
 from ..dispatch import Visitor
+from ..functions.joins import bucket_slices, fan_out
 from ..model import (
     FRONTIER_SCHEMA,
-    STATUS_DB_FAILED,
     STATUS_DB_SUCCESS,
     CrawlDatum,
     datums_to_table,
@@ -52,7 +53,7 @@ from ..model import (
 from ..regex_rule import RegexRule
 from ..sources.pagestore import BroadcastPageStore, BucketedPageStore
 from ..stages.execute import run_execute
-from ..stages.generate import generate
+from ..stages.generate import count_eligible, generate
 from ..stages.merge import dedupe_by_key, dedupe_by_key_refs, merge_segments
 from ..state.frontier import CheckpointStore
 from ..state.seen import ShardedSeenFilter
@@ -84,18 +85,8 @@ class CrawlResult:
         return sum(d.links for d in self.depths)
 
 
-def _split_seg(exec_out, seg: str):
-    def f(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        out = batch.filter(pc.equal(batch["seg"], seg))
-        return out.drop_columns(["seg"])
-
-    return exec_out.map_batches(f, batch_format="pyarrow")
-
-
 @ray.remote
-def _split_links_by_shard(table: pa.Table, num_shards: int):
+def _split_links_by_shard(num_shards: int, table: pa.Table):
     """Partition a link block by seen-filter shard id (hash column
     rides along as __h so the shard task doesn't re-hash)."""
     import numpy as np
@@ -103,19 +94,11 @@ def _split_links_by_shard(table: pa.Table, num_shards: int):
     from ..state.seen import hash64_batch
 
     if "key" not in table.column_names or len(table) == 0:
-        out = [None] * num_shards
-        return out[0] if num_shards == 1 else tuple(out)
+        return bucket_slices(None, None, num_shards)
     hashes = hash64_batch(table["key"].to_pylist())
     table = table.append_column("__h", pa.array(hashes))
     sid = (hashes % np.uint64(num_shards)).astype(np.int64)
-    order = np.argsort(sid, kind="stable")
-    bounds = np.searchsorted(sid[order], np.arange(num_shards + 1))
-    shuffled = table.take(pa.array(order))
-    out = []
-    for i in range(num_shards):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_shards == 1 else tuple(out)
+    return bucket_slices(table, sid, num_shards)
 
 
 @ray.remote(num_returns=2)
@@ -134,21 +117,7 @@ def _filter_links_shard(shard_actor, *parts):
     return kept, len(kept)
 
 
-@ray.remote
-def _count_generate_eligible(max_count: int, block: pa.Table) -> int:
-    """Rows the default G1/G2 generate predicate would keep (status !=
-    SUCCESS and execute_count <= max). User generator filters and topN
-    can only DROP among these, so 0 here ⇒ generate output is 0 for
-    every configuration."""
-    import pyarrow.compute as pc
-
-    if block is None or len(block) == 0 or "status" not in block.column_names:
-        return 0
-    mask = pc.and_(
-        pc.not_equal(block["status"], STATUS_DB_SUCCESS),
-        pc.less_equal(block["execute_count"], max_count),
-    )
-    return int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
+_count_generate_eligible = ray.remote(count_eligible)
 
 
 @ray.remote(num_returns=3)
@@ -416,37 +385,6 @@ class Crawler:
             one_block_per_bucket, empty, n_buckets,
         )
 
-    def _filter_links_approx(self, link_seg):
-        """approximate_seen: pre-drop links whose key is (probably)
-        already in the frontier, before they reach the merge shuffle."""
-        seen = self.seen
-        shards = seen.shards
-        num_shards = seen.num_shards
-
-        def f(batch: pa.Table) -> pa.Table:
-            import numpy as np
-
-            import ray as _ray
-
-            from ..state.seen import hash64_batch
-
-            keys = batch["key"].to_pylist()
-            if not keys:
-                return batch
-            hashes = hash64_batch(keys)
-            shard_ids = (hashes % np.uint64(num_shards)).astype(np.int64)
-            seen_mask = np.zeros(len(keys), dtype=bool)
-            futs = {}
-            for s in range(num_shards):
-                idx = np.nonzero(shard_ids == s)[0]
-                if len(idx):
-                    futs[s] = (idx, shards[s].add_and_check.remote(hashes[idx]))
-            for s, (idx, fut) in futs.items():
-                seen_mask[idx] = _ray.get(fut)
-            return batch.filter(pa.array(~seen_mask))
-
-        return link_seg.map_batches(f, batch_format="pyarrow")
-
     # --- store-bucket-coherent routing (scale path J3) ---
     def _route_by_store_bucket(self, generated, num_buckets: int):
         """Group the fetch list by the bucketed page store's own
@@ -571,7 +509,7 @@ class Crawler:
                     ray.get(
                         [
                             _count_generate_eligible.remote(
-                                cfg.max_execute_count, r
+                                r, cfg.max_execute_count
                             )
                             for r in crawldb.to_arrow_refs()
                         ]
@@ -588,18 +526,7 @@ class Crawler:
                 m.seconds = time.time() - dt0
                 result.depths.append(m)
                 if ckpt is not None:
-                    ckpt.write_manifest(
-                        i,
-                        {
-                            "depth": i,
-                            "generated": 0,
-                            "links": 0,
-                            "fetch_success": 0,
-                            "fetch_failed": 0,
-                            "crawldb_size": m.crawldb_size,
-                            "seconds": m.seconds,
-                        },
-                    )
+                    ckpt.write_manifest(i, dataclasses.asdict(m))
                 fetch_seg = link_seg = None
                 break
 
@@ -648,14 +575,7 @@ class Crawler:
                 # depth — per-batch synchronous probes serialized the
                 # whole stage (4.7x slower than no filter at 300k pages)
                 S = self.seen.num_shards
-                split = [
-                    _split_links_by_shard.options(num_returns=S).remote(
-                        r, S
-                    )
-                    for r in lrefs
-                ]
-                if S == 1:
-                    split = [[s] for s in split]
+                split = [fan_out(_split_links_by_shard, S, r) for r in lrefs]
                 kept_refs, cnt_refs = [], []
                 for s in range(S):
                     k_r, c_r = _filter_links_shard.remote(
@@ -678,18 +598,7 @@ class Crawler:
             m.seconds = time.time() - dt0
             result.depths.append(m)
             if ckpt is not None:
-                ckpt.write_manifest(
-                    i,
-                    {
-                        "depth": i,
-                        "generated": m.generated,
-                        "links": m.links,
-                        "fetch_success": m.fetch_success,
-                        "fetch_failed": m.fetch_failed,
-                        "crawldb_size": m.crawldb_size,
-                        "seconds": m.seconds,
-                    },
-                )
+                ckpt.write_manifest(i, dataclasses.asdict(m))
             if m.generated == 0:  # Crawler.java:141-144
                 fetch_seg = link_seg = None
                 break

@@ -27,6 +27,25 @@ from ..config import CrawlerConfig
 from ..model import STATUS_DB_SUCCESS, CrawlDatum
 
 
+def eligible_mask(batch: pa.Table, max_count: int):
+    """G1/G2, the one copy of the predicate: status != SUCCESS and
+    execute_count <= max_count."""
+    return pc.and_(
+        pc.not_equal(batch["status"], STATUS_DB_SUCCESS),
+        pc.less_equal(batch["execute_count"], max_count),
+    )
+
+
+def count_eligible(table: Optional[pa.Table], max_count: int) -> int:
+    """Rows G1/G2 keep. User generator filters and topN can only DROP
+    among these, so 0 here means generate yields 0 under every
+    configuration — the crawler's A2 early-termination test."""
+    if table is None or len(table) == 0 or "status" not in table.column_names:
+        return 0
+    mask = eligible_mask(table, max_count)
+    return int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
+
+
 def generate(
     frontier,
     config: CrawlerConfig,
@@ -36,11 +55,7 @@ def generate(
     max_count = config.max_execute_count
 
     def gfilter(batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.not_equal(batch["status"], STATUS_DB_SUCCESS),
-            pc.less_equal(batch["execute_count"], max_count),
-        )
-        out = batch.filter(mask)
+        out = batch.filter(eligible_mask(batch, max_count))
         if generator_filter is not None and len(out):
             keep_rows = []
             for i in range(len(out)):

@@ -17,9 +17,11 @@ overwrite, non-force insert-if-absent; crawldb/DBManager.java:49-86).
 Physical plan: a DIRECT two-round hash shuffle built from raw Ray
 tasks (the one place the Dataset API is bypassed, SURVEY.md §7.0):
 
-    split: one task per input block -> `num_buckets` sub-tables
-           (num_returns=num_buckets, so each reduce fetches only its
-           own partition slices)
+    split: one task per group of input blocks -> `num_buckets`
+           sub-tables (num_returns=num_buckets, so each reduce fetches
+           only its own partition slices); the slicing is the engine's
+           one split kernel, functions/joins.bucket_slices, launched
+           through joins.fan_out
     reduce: one task per bucket -> concat + vectorized first-by-key
 
 This replaces ``union().groupby(bucket).map_groups(...)``: Ray Data's
@@ -42,29 +44,19 @@ import pyarrow as pa
 
 import ray
 
-from ..model import FRONTIER_SCHEMA, STATUS_DB_SUCCESS
+from ..functions.joins import _bucket_ids, bucket_slices, fan_out
+from ..model import FRONTIER_SCHEMA
+from .generate import count_eligible
 
 _HELPER_COLS = ["__prec"]
 
 
-def _bucket_ids(keys: List[str], num_buckets: int) -> np.ndarray:
-    """Vectorized fixed-key siphash (same C kernel as the seen filter)
-    — the per-key crc32 Python loop this replaces was the largest
-    single cost of the split wave at 10^6-row frontiers. Bucket
-    routing is internal to one exchange, so the hash only has to be
-    stable within a run."""
-    if not len(keys):
-        return np.zeros(0, dtype=np.int64)
-    h = pd.util.hash_array(np.asarray(keys, dtype=object), categorize=False)
-    return (h % np.uint64(num_buckets)).astype(np.int64)
-
-
 @ray.remote
-def _split_blocks(precs: List[int], num_buckets: int, *tables):
+def _split_blocks(num_buckets: int, precs: List[int], *tables):
     """A group of input blocks -> num_buckets sub-tables (None when
-    empty). Blocks are grouped so the driver manages
-    O(max_split_tasks * num_buckets) refs per exchange, not
-    O(input_blocks * num_buckets)."""
+    empty), keys routed by joins._bucket_ids. Bucket routing is
+    internal to one exchange, so the hash only has to be stable within
+    a run."""
     tagged = []
     for prec, t in zip(precs, tables):
         if t is None or len(t) == 0 or "key" not in t.column_names:
@@ -75,19 +67,11 @@ def _split_blocks(precs: List[int], num_buckets: int, *tables):
             )
         )
     if not tagged:
-        out = [None] * num_buckets
-        return out[0] if num_buckets == 1 else tuple(out)
+        return bucket_slices(None, None, num_buckets)
     table = pa.concat_tables(tagged, promote_options="permissive")
-    b = _bucket_ids(table["key"].to_pylist(), num_buckets)
-    order = np.argsort(b, kind="stable")
-    sorted_b = b[order]
-    bounds = np.searchsorted(sorted_b, np.arange(num_buckets + 1))
-    shuffled = table.take(pa.array(order))
-    out = []
-    for i in range(num_buckets):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(shuffled.slice(lo, hi - lo) if hi > lo else None)
-    return out[0] if num_buckets == 1 else tuple(out)
+    return bucket_slices(
+        table, _bucket_ids(table["key"], num_buckets), num_buckets
+    )
 
 
 def _dedupe_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -111,25 +95,15 @@ def _restore_schema(batch: pa.Table) -> pa.Table:
 @ray.remote(num_returns=3)
 def _reduce_bucket(eligible_max_count, *parts):
     """-> (merged bucket table, row count, generate-eligible count).
-    The eligible count (default G1/G2 predicate: status != SUCCESS and
-    execute_count <= max) rides back with the merge so the crawler's A2
+    The eligible count rides back with the merge so the crawler's A2
     early-termination check costs no extra task wave."""
-    import pyarrow.compute as pc
-
     tables = [t for t in parts if t is not None and len(t)]
     if not tables:
         return FRONTIER_SCHEMA.empty_table(), 0, 0
     cat = pa.concat_tables(tables, promote_options="permissive")
     df = _dedupe_bucket(cat.to_pandas())
     out = _restore_schema(pa.Table.from_pandas(df, preserve_index=False))
-    elig = 0
-    if len(out):
-        mask = pc.and_(
-            pc.not_equal(out["status"], STATUS_DB_SUCCESS),
-            pc.less_equal(out["execute_count"], eligible_max_count),
-        )
-        elig = int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
-    return out, len(out), elig
+    return out, len(out), count_eligible(out, eligible_max_count)
 
 
 def dedupe_by_key_refs(
@@ -150,16 +124,17 @@ def dedupe_by_key_refs(
             pairs.append((prec, block_ref))
     if not pairs:
         raise ValueError("no blocks to merge")
+    # grouped like joins.fan_out_grouped (the driver holds
+    # O(max_split_tasks * num_buckets) refs); each group's precedence
+    # list keeps this loop here
     ngroups = max(1, min(len(pairs), max_split_tasks))
     split_refs = []
     for g in range(ngroups):
         group = pairs[g::ngroups]
-        refs = _split_blocks.options(num_returns=num_buckets).remote(
-            [p for p, _ in group], num_buckets, *[r for _, r in group]
-        )
-        if num_buckets == 1:
-            refs = [refs]
-        split_refs.append(refs)
+        split_refs.append(fan_out(
+            _split_blocks, num_buckets,
+            [p for p, _ in group], *[r for _, r in group],
+        ))
     table_refs, count_refs, elig_refs = [], [], []
     for b in range(num_buckets):
         t_ref, c_ref, e_ref = _reduce_bucket.remote(
