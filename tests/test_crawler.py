@@ -10,6 +10,7 @@ execute counts.
 
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -17,6 +18,7 @@ from webcollector_ray.charset import decode_html
 from webcollector_ray.config import CrawlerConfig
 from webcollector_ray.dispatch import Visitor, VisitorMethodDispatcher
 from webcollector_ray.model import (
+    FRONTIER_SCHEMA,
     STATUS_DB_FAILED,
     STATUS_DB_SUCCESS,
     CrawlDatum,
@@ -26,6 +28,10 @@ from webcollector_ray.page import Page
 from webcollector_ray.pipelines.crawler import BreadthCrawler, RamCrawler
 from webcollector_ray.regex_rule import RegexRule
 from webcollector_ray.stages.execute import SUCCESS_CODES
+from webcollector_ray.state.frontier import (
+    CheckpointCorruptError,
+    CheckpointStore,
+)
 from webcollector_ray.synth import SynthSpec, synth_pages_table
 
 SPEC = SynthSpec(num_sites=2, redirects_per_site=1, failures_per_site=1)
@@ -258,6 +264,85 @@ def test_resume_equivalence(ray_session, pages, tmp_path):
         assert df_a[cols].equals(df_b[cols])
         finals.append(df_a[cols])
     assert finals[0].equals(finals[1])
+
+
+def test_checkpoint_store_round_trip(ray_session, tmp_path):
+    """write_table/read_dataset keep what Dataset.write_parquet and
+    read_parquet gave: the row count, no file for an empty block, and
+    exactly the frontier schema back (no `depth` column from the
+    `depth=<k>` directory name)."""
+    import ray
+    import ray.data as rd
+
+    from webcollector_ray.model import datums_to_table
+
+    t1 = datums_to_table([CrawlDatum(f"http://a.test/{i}") for i in range(5)])
+    t2 = datums_to_table(
+        [CrawlDatum(f"http://b.test/{i}", meta={"k": "v"}) for i in range(3)]
+    )
+    empty = FRONTIER_SCHEMA.empty_table()
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+
+    ds = rd.from_arrow_refs([ray.put(t1), ray.put(empty), ray.put(t2)])
+    assert store.write_table(ds, 3, "crawldb") == 8
+    assert sorted(os.listdir(store.table_dir(3, "crawldb"))) == [
+        "part-00000.parquet", "part-00002.parquet",
+    ]
+    assert store.has_table(3, "crawldb")
+    back = pa.concat_tables(
+        ray.get(list(store.read_dataset(3, "crawldb").to_arrow_refs()))
+    )
+    assert back.schema.equals(FRONTIER_SCHEMA, check_metadata=True)
+    assert back.equals(pa.concat_tables([t1, t2]))
+
+    ds = rd.from_arrow_refs([ray.put(empty), ray.put(empty)])
+    assert store.write_table(ds, 3, "link") == 0
+    assert os.listdir(store.table_dir(3, "link")) == []
+    assert not store.has_table(3, "link")
+    back = pa.concat_tables(
+        ray.get(list(store.read_dataset(3, "link").to_arrow_refs()))
+    )
+    assert back.schema.equals(FRONTIER_SCHEMA) and len(back) == 0
+
+
+@pytest.mark.parametrize("damage,table", [
+    ("missing", "crawldb"), ("truncated", "link"), ("extra", "fetch"),
+])
+def test_resume_refuses_damaged_checkpoint(ray_session, pages, tmp_path,
+                                           damage, table):
+    """A part file of the newest complete depth that was deleted,
+    truncated or added after its manifest was written must fail the
+    resume loudly, not resume from a shorter (or longer) frontier."""
+    cfg = CrawlerConfig(fetch_concurrency=2, merge_num_buckets=8)
+    root = str(tmp_path / "c")
+    c1 = BreadthCrawler(root, True, pages, config=cfg, deterministic_time=True)
+    c1.add_seed(SPEC.seeds())
+    c1.add_regex(REGEX)
+    c1.start(2)
+
+    store = CheckpointStore(root)
+    last = store.latest_complete_depth()
+    assert last == 1
+    tdir = store.table_dir(last, table)
+    part = os.path.join(tdir, sorted(os.listdir(tdir))[0])
+    if damage == "missing":
+        os.remove(part)
+    elif damage == "truncated":
+        with open(part, "r+b") as f:
+            f.truncate(os.path.getsize(part) // 2)
+    else:
+        with open(part, "rb") as src, \
+                open(os.path.join(tdir, "part-99999.parquet"), "wb") as dst:
+            dst.write(src.read())
+
+    c2 = BreadthCrawler(
+        root, True, pages, config=cfg.replace(resumable=True),
+        deterministic_time=True,
+    )
+    c2.add_seed(SPEC.seeds())
+    c2.add_regex(REGEX)
+    with pytest.raises(CheckpointCorruptError):
+        c2.start(8)
 
 
 def test_forced_seed_overwrites(ray_session, pages, tmp_path):

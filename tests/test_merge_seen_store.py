@@ -148,19 +148,17 @@ def test_cuckoo_multiset_add_keeps_colliding_key_after_delete(ray_session):
     # add(), deleting one must not create a false negative for the
     # other (add_and_check would have skipped the second insert on
     # the false-positive 'seen' and left delete() unbalanced)
-    import ray
-
     from webcollector_ray.state.seen import _CuckooShard
 
-    s = _CuckooShard.remote(1024)
+    s = _CuckooShard(1024)
     h1 = np.array([0x123456789ABCDEF0], dtype=np.uint64)
     h2 = h1 ^ np.uint64(1 << 20)  # same fp, same buckets, different key
-    assert not ray.get(s.add.remote(h1))[0]
-    assert ray.get(s.add.remote(h2))[0]    # collision: reported seen
-    assert ray.get(s.delete.remote(h2))[0]  # removes h2's OWN copy
-    assert ray.get(s.check.remote(h1))[0]   # h1 survives
-    assert ray.get(s.delete.remote(h1))[0]
-    assert not ray.get(s.check.remote(h1))[0]
+    assert not s.add(h1)[0]
+    assert s.add(h2)[0]    # collision: reported seen
+    assert s.delete(h2)[0]  # removes h2's OWN copy
+    assert s.check(h1)[0]   # h1 survives
+    assert s.delete(h1)[0]
+    assert not s.check(h1)[0]
 
 
 def test_cuckoo_multiset_add_delete_balance(ray_session):
@@ -204,3 +202,52 @@ def test_cuckoo_intra_batch_duplicates_match_bloom_semantics(ray_session):
 def test_seen_filter_unknown_backend_raises(ray_session):
     with pytest.raises(ValueError):
         ShardedSeenFilter(num_shards=1, backend="what")
+
+
+@pytest.mark.parametrize("backend", ["bloom", "cuckoo"])
+@pytest.mark.parametrize("num_shards", [1, 3, 16])
+def test_packed_seen_filter_matches_reference(ray_session, num_shards,
+                                              backend):
+    # S logical shards packed onto min(S, CPUs) host actors must answer
+    # exactly like S independent shards routed by hash64 % S; at 16
+    # shards on the 4-CPU test cluster several shards share one host.
+    # Small shards so false positives (and cuckoo kicks) do occur.
+    import ray
+
+    from webcollector_ray.state.seen import _BloomShard, _CuckooShard
+
+    bits = 1 << 10
+    cpus = int(ray.cluster_resources()["CPU"])
+    f = ShardedSeenFilter(num_shards=num_shards, bits_per_shard=bits,
+                          backend=backend)
+    assert len(f.hosts) == min(num_shards, cpus)
+    if backend == "bloom":
+        ref = [_BloomShard(bits) for _ in range(num_shards)]
+    else:
+        ref = [_CuckooShard(max(1024, bits // 10)) for _ in range(num_shards)]
+
+    def ref_call(method, keys):
+        h = hash64_batch(keys)
+        sid = (h % np.uint64(num_shards)).astype(np.int64)
+        out = np.zeros(len(keys), dtype=bool)
+        for s in range(num_shards):
+            idx = np.nonzero(sid == s)[0]
+            if len(idx):
+                out[idx] = getattr(ref[s], method)(h[idx])
+        return out
+
+    try:
+        for r in range(5):
+            # each round: 300 new keys, 150 from the previous round and
+            # an in-batch duplicate
+            keys = [f"http://s{i % 37}.test/p{i}"
+                    for i in range(r * 300 - 150 * (r > 0), (r + 1) * 300)]
+            keys.append(keys[0])
+            got = f.add_and_check(keys)
+            assert np.array_equal(got, ref_call("add_and_check", keys)), r
+            probe = [f"http://probe{r}-{i}.test/" for i in range(400)]
+            got = f.check(probe)
+            assert np.array_equal(got, ref_call("check", probe)), r
+            assert f.approx_size() == sum(s.approx_size() for s in ref), r
+    finally:
+        f.shutdown()

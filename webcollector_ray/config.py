@@ -50,7 +50,7 @@ class CrawlerConfig:
                                        # execution per table per depth
 
     # --- north_rule scale path ---
-    seen_shards: int = 16              # sharded bloom seen-filter actor count
+    seen_shards: int = 16              # seen-filter logical shard count
     seen_bits_per_shard: int = 1 << 23 # bloom bits per shard (1 MiB each)
     approximate_seen: bool = False     # pre-drop probably-seen links via bloom
                                        # (trades exactness for shuffle volume;

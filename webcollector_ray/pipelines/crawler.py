@@ -102,9 +102,10 @@ def _split_links_by_shard(num_shards: int, table: pa.Table):
 
 
 @ray.remote(num_returns=2)
-def _filter_links_shard(shard_actor, *parts):
+def _filter_links_shard(host, shard: int, *parts):
     """One task per shard per depth: concat this shard's link rows,
-    ONE add_and_check round-trip, keep probably-unseen rows."""
+    ONE add_and_check round-trip to the actor hosting the shard, keep
+    probably-unseen rows."""
     import numpy as np
 
     tables = [t for t in parts if t is not None and len(t)]
@@ -112,7 +113,7 @@ def _filter_links_shard(shard_actor, *parts):
         return FRONTIER_SCHEMA.empty_table(), 0
     cat = pa.concat_tables(tables, promote_options="permissive")
     hashes = np.asarray(cat["__h"].to_pylist(), dtype=np.uint64)
-    seen = ray.get(shard_actor.add_and_check.remote(hashes))
+    seen = ray.get(host.call.remote("add_and_check", {shard: hashes}))[shard]
     kept = cat.filter(pa.array(~seen)).drop_columns(["__h"])
     return kept, len(kept)
 
@@ -579,7 +580,7 @@ class Crawler:
                 kept_refs, cnt_refs = [], []
                 for s in range(S):
                     k_r, c_r = _filter_links_shard.remote(
-                        self.seen.shards[s], *[sp[s] for sp in split]
+                        self.seen.host_of(s), s, *[sp[s] for sp in split]
                     )
                     kept_refs.append(k_r)
                     cnt_refs.append(c_r)

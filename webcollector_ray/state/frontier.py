@@ -14,6 +14,18 @@ Parquet equivalent of the reference's resumable crawldb
 executed/parsed datum lands in segments immediately and a crash loses
 only in-flight records). Resume = read the newest complete depth's
 crawldb + segments and continue; finished depths are never recomputed.
+
+I/O is a raw Ray task wave, not a Dataset execution (each of those costs
+~0.3-0.5 s of fixed latency whatever the table size): `write_table`
+launches one `pq.write_table` task per block ref, writing block i as
+`part-<i:05d>.parquet` (an empty block writes no file), and sums the row
+counts the tasks return. `read_dataset` launches one read task per part
+file, in sorted name order, with the columns pinned to FRONTIER_SCHEMA,
+and wraps the result refs with `rd.from_arrow_refs`. Before reading a
+table of a depth that has a manifest it checks the part files on disk
+against the manifest's `partitions` lineage (names and byte sizes, one
+stat each): a missing, extra, truncated or otherwise resized part raises
+CheckpointCorruptError instead of resuming from a shorter frontier.
 """
 
 from __future__ import annotations
@@ -21,12 +33,37 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Optional
+from typing import List, Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+import ray
+
 from ..model import FRONTIER_SCHEMA
+
+
+class CheckpointCorruptError(RuntimeError):
+    """A checkpoint table's part files disagree with its manifest."""
+
+
+@ray.remote
+def _write_part(table: pa.Table, path: str) -> int:
+    if len(table) == 0:  # empty (possibly schema-less) block: no file
+        return 0
+    pq.write_table(table, path)
+    return len(table)
+
+
+@ray.remote
+def _read_part(path: str) -> pa.Table:
+    # columns pinned to the frontier schema (no `depth=<k>` phantom
+    # column from the directory name, no stray pandas metadata)
+    return (
+        pq.ParquetFile(path)
+        .read(columns=FRONTIER_SCHEMA.names)
+        .cast(FRONTIER_SCHEMA)
+    )
 
 
 class CheckpointStore:
@@ -57,14 +94,22 @@ class CheckpointStore:
 
     # --- write ---
     def write_table(self, ds, depth: int, name: str) -> int:
-        """Write a Dataset as one checkpoint table; returns row count
-        (from parquet metadata, no data re-read)."""
+        """Write a Dataset as one checkpoint table, one part file per
+        non-empty block; returns the row count."""
         path = self.table_dir(depth, name)
         if os.path.isdir(path):
             shutil.rmtree(path)
         os.makedirs(path, exist_ok=True)
-        ds.write_parquet(path)
-        return self.count_rows(depth, name)
+        return sum(
+            ray.get(
+                [
+                    _write_part.remote(
+                        ref, os.path.join(path, f"part-{i:05d}.parquet")
+                    )
+                    for i, ref in enumerate(ds.to_arrow_refs())
+                ]
+            )
+        )
 
     def partition_lineage(self, depth: int) -> dict:
         """Per-partition lineage: every parquet part written at this
@@ -76,9 +121,7 @@ class CheckpointStore:
             if not os.path.isdir(path):
                 continue
             parts = []
-            for fn in sorted(os.listdir(path)):
-                if not fn.endswith(".parquet"):
-                    continue
+            for fn in self._parts(depth, name):
                 full = os.path.join(path, fn)
                 parts.append(
                     {
@@ -99,32 +142,46 @@ class CheckpointStore:
         os.replace(tmp, self.manifest_path(depth))
 
     # --- read ---
-    def count_rows(self, depth: int, name: str) -> int:
+    def _parts(self, depth: int, name: str) -> List[str]:
         path = self.table_dir(depth, name)
-        total = 0
         if not os.path.isdir(path):
-            return 0
-        for fn in os.listdir(path):
-            if fn.endswith(".parquet"):
-                total += pq.ParquetFile(os.path.join(path, fn)).metadata.num_rows
-        return total
+            return []
+        return sorted(f for f in os.listdir(path) if f.endswith(".parquet"))
+
+    def _lineage(self, depth: int, name: str) -> Optional[dict]:
+        """{part file: bytes} the depth's manifest recorded for this
+        table, or None when there is no manifest entry to check."""
+        manifest = self.read_manifest(depth)
+        if manifest is None or name not in manifest.get("partitions", {}):
+            return None
+        return {p["file"]: p["bytes"] for p in manifest["partitions"][name]}
 
     def has_table(self, depth: int, name: str) -> bool:
-        path = self.table_dir(depth, name)
-        return os.path.isdir(path) and any(
-            f.endswith(".parquet") for f in os.listdir(path)
-        )
+        # a table the manifest lists parts for exists even if its
+        # directory is gone: read_dataset then refuses it loudly
+        return bool(self._parts(depth, name) or self._lineage(depth, name))
 
     def read_dataset(self, depth: int, name: str):
         import ray.data as rd
 
-        if not self.has_table(depth, name):
+        path = self.table_dir(depth, name)
+        parts = self._parts(depth, name)
+        expected = self._lineage(depth, name)
+        if expected is not None:
+            found = {f: os.path.getsize(os.path.join(path, f)) for f in parts}
+            if found != expected:
+                bad = sorted(
+                    f for f in found.keys() | expected.keys()
+                    if found.get(f) != expected.get(f)
+                )
+                raise CheckpointCorruptError(
+                    f"{path}: part files differ from the depth-{depth} "
+                    f"manifest (missing, extra or resized: {bad})"
+                )
+        if not parts:
             return rd.from_arrow(FRONTIER_SCHEMA.empty_table())
-        # columns pinned to the frontier schema: without this, hive
-        # partition inference resurrects the `depth=<k>` path segment
-        # as a phantom column on resume
-        return rd.read_parquet(
-            self.table_dir(depth, name), columns=list(FRONTIER_SCHEMA.names)
+        return rd.from_arrow_refs(
+            [_read_part.remote(os.path.join(path, f)) for f in parts]
         )
 
     def read_manifest(self, depth: int) -> Optional[dict]:

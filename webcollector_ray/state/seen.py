@@ -4,11 +4,20 @@ The reference's URL-seen set IS the crawldb KV store, probed point-wise
 on inject and bulk-merged per depth (plugin/rocks/RocksDBManager.java).
 The exact-first-wins semantics live in the merge shuffle
 (stages/merge.py); this filter is the SCALE-PATH accelerator layered on
-top (SURVEY.md §2.5 ST2): a partitioned bloom filter keyed by
-md5(canonical_url) hash, sharded over `num_shards` actors so the
-mutable seen-state is single-writer-per-shard and memory scales
-horizontally (a 10^10-URL frontier at 10 bits/url is ~12 GB — far
-beyond one node, hence sharding).
+top (SURVEY.md §2.5 ST2): a partitioned bloom filter over S =
+`num_shards` logical shards, a key routed to shard
+`hash64_batch(key) % S` (pandas' fixed-key siphash), so the mutable
+seen-state is single-writer-per-shard and memory scales horizontally
+(a 10^10-URL frontier at 10 bits/url is ~12 GB — far beyond one node,
+hence sharding).
+
+A shard is a unit of state, not a process: the S shard objects live on
+H = min(S, cluster CPUs) `_ShardHost` actors, logical shard s on host
+s % H. Each shard sees exactly the key batches it would see as its own
+actor, so every mask and `approx_size` is the same as one actor per
+shard, while a crawler no longer starts more processes than the
+cluster has CPUs (S and its per-shard bits still set the false-positive
+rate).
 
 Because blooms have false positives, pre-dropping "seen" links loses
 (~fp_rate) genuinely-new URLs — so this is only used when
@@ -53,7 +62,6 @@ def hash64_batch(keys: Sequence[str]) -> np.ndarray:
     ).astype(np.uint64)
 
 
-@ray.remote(num_cpus=0.1)
 class _BloomShard:
     """One bloom partition; k=4 derived hash probes per key."""
 
@@ -95,7 +103,6 @@ class _BloomShard:
         return self.count
 
 
-@ray.remote(num_cpus=0.1)
 class _CuckooShard:
     """One cuckoo-filter partition: (num_buckets, 4) uint16 fingerprint
     table. Lookups and the common-case two-bucket placement are fully
@@ -285,8 +292,26 @@ class _CuckooShard:
         return self.count
 
 
+@ray.remote(num_cpus=0.1)
+class _ShardHost:
+    """One actor holding several logical shards ({shard id: shard})."""
+
+    def __init__(self, shard_cls, arg, shard_ids):
+        self.shards = {s: shard_cls(arg) for s in shard_ids}
+
+    def call(self, method: str, batches: dict) -> dict:
+        """Run `method` on each listed shard: {shard id: hashes} ->
+        {shard id: mask}."""
+        return {
+            s: getattr(self.shards[s], method)(h) for s, h in batches.items()
+        }
+
+    def approx_size(self) -> int:
+        return sum(sh.approx_size() for sh in self.shards.values())
+
+
 class ShardedSeenFilter:
-    """Driver-side handle routing key batches to shard actors."""
+    """Driver-side handle routing key batches to the shard hosts."""
 
     def __init__(
         self,
@@ -297,38 +322,49 @@ class ShardedSeenFilter:
         self.num_shards = num_shards
         self.backend = backend
         if backend == "bloom":
-            self.shards: List = [
-                _BloomShard.remote(bits_per_shard) for _ in range(num_shards)
-            ]
+            shard_cls, arg = _BloomShard, bits_per_shard
         elif backend == "cuckoo":
             # size the cuckoo table for the key count a bloom of the
             # same bit budget would hold at ~10 bits/key
-            capacity = max(1024, bits_per_shard // 10)
-            self.shards = [
-                _CuckooShard.remote(capacity) for _ in range(num_shards)
-            ]
+            shard_cls, arg = _CuckooShard, max(1024, bits_per_shard // 10)
         else:
             raise ValueError(f"unknown seen-filter backend: {backend!r}")
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        n_hosts = max(1, min(num_shards, cpus))
+        self.hosts: List = [
+            _ShardHost.remote(shard_cls, arg, range(h, num_shards, n_hosts))
+            for h in range(n_hosts)
+        ]
 
-    def _route(self, keys: Sequence[str]):
-        hashes = hash64_batch(keys)
-        shard_ids = (hashes % np.uint64(self.num_shards)).astype(np.int64)
-        return hashes, shard_ids
+    def host_of(self, shard: int):
+        """The actor holding logical shard `shard`."""
+        return self.hosts[shard % len(self.hosts)]
 
-    def add_and_check(self, keys: Sequence[str]) -> np.ndarray:
-        """Mark all keys seen; return already-seen mask (aligned to keys)."""
+    def _call(self, method: str, keys: Sequence[str]) -> np.ndarray:
+        """Route keys to their shards (hash64 % S), ONE call per host
+        carrying all its shards' batches; returns the per-key mask."""
         if not len(keys):
             return np.zeros(0, dtype=bool)
-        hashes, shard_ids = self._route(keys)
-        result = np.zeros(len(keys), dtype=bool)
-        futures = {}
+        hashes = hash64_batch(keys)
+        shard_ids = (hashes % np.uint64(self.num_shards)).astype(np.int64)
+        idx_of = {}
+        batches: dict = {}
         for s in range(self.num_shards):
             idx = np.nonzero(shard_ids == s)[0]
             if len(idx):
-                futures[s] = (idx, self.shards[s].add_and_check.remote(hashes[idx]))
-        for s, (idx, fut) in futures.items():
-            result[idx] = ray.get(fut)
+                idx_of[s] = idx
+                batches.setdefault(s % len(self.hosts), {})[s] = hashes[idx]
+        result = np.zeros(len(keys), dtype=bool)
+        for out in ray.get(
+            [self.hosts[h].call.remote(method, b) for h, b in batches.items()]
+        ):
+            for s, mask in out.items():
+                result[idx_of[s]] = mask
         return result
+
+    def add_and_check(self, keys: Sequence[str]) -> np.ndarray:
+        """Mark all keys seen; return already-seen mask (aligned to keys)."""
+        return self._call("add_and_check", keys)
 
     def add(self, keys: Sequence[str]) -> np.ndarray:
         """Multiset insert (cuckoo: one fingerprint copy per call even
@@ -337,36 +373,12 @@ class ShardedSeenFilter:
         delete(): under add_and_check a false-positive 'seen' skips
         the insert, so deleting that key later would strip a
         different key's fingerprint. Returns the already-seen mask."""
-        if not len(keys):
-            return np.zeros(0, dtype=bool)
-        hashes, shard_ids = self._route(keys)
-        result = np.zeros(len(keys), dtype=bool)
-        method = "add" if self.backend == "cuckoo" else "add_and_check"
-        futures = {}
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_ids == s)[0]
-            if len(idx):
-                futures[s] = (
-                    idx,
-                    getattr(self.shards[s], method).remote(hashes[idx]),
-                )
-        for s, (idx, fut) in futures.items():
-            result[idx] = ray.get(fut)
-        return result
+        return self._call(
+            "add" if self.backend == "cuckoo" else "add_and_check", keys
+        )
 
     def check(self, keys: Sequence[str]) -> np.ndarray:
-        if not len(keys):
-            return np.zeros(0, dtype=bool)
-        hashes, shard_ids = self._route(keys)
-        result = np.zeros(len(keys), dtype=bool)
-        futures = {}
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_ids == s)[0]
-            if len(idx):
-                futures[s] = (idx, self.shards[s].check.remote(hashes[idx]))
-        for s, (idx, fut) in futures.items():
-            result[idx] = ray.get(fut)
-        return result
+        return self._call("check", keys)
 
     def delete(self, keys: Sequence[str]) -> np.ndarray:
         """Unmark keys (cuckoo backend only): the recrawl path — a URL
@@ -380,23 +392,12 @@ class ShardedSeenFilter:
                 "delete() needs the cuckoo backend; bloom bits cannot "
                 "be cleared (backend=%r)" % self.backend
             )
-        if not len(keys):
-            return np.zeros(0, dtype=bool)
-        hashes, shard_ids = self._route(keys)
-        result = np.zeros(len(keys), dtype=bool)
-        futures = {}
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_ids == s)[0]
-            if len(idx):
-                futures[s] = (idx, self.shards[s].delete.remote(hashes[idx]))
-        for s, (idx, fut) in futures.items():
-            result[idx] = ray.get(fut)
-        return result
+        return self._call("delete", keys)
 
     def approx_size(self) -> int:
-        return sum(ray.get([s.approx_size.remote() for s in self.shards]))
+        return sum(ray.get([h.approx_size.remote() for h in self.hosts]))
 
     def shutdown(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        for h in self.hosts:
+            ray.kill(h)
+        self.hosts = []
