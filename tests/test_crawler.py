@@ -28,6 +28,11 @@ from webcollector_ray.page import Page
 from webcollector_ray.pipelines.crawler import BreadthCrawler, RamCrawler
 from webcollector_ray.regex_rule import RegexRule
 from webcollector_ray.stages.execute import SUCCESS_CODES
+from webcollector_ray.stages.merge import (
+    ROW_TARGET,
+    dedupe_by_key_refs,
+    size_buckets,
+)
 from webcollector_ray.state.frontier import (
     CheckpointCorruptError,
     CheckpointStore,
@@ -143,6 +148,129 @@ def test_bfs_matches_sequential_model(ray_session, pages, tmp_path):
         assert int(row["status"]) == dm.status, k
         assert int(row["execute_count"]) == dm.execute_count, k
         assert int(row["code"]) == dm.code, k
+
+
+def _arrow_crawldb(res) -> pa.Table:
+    """The final crawldb as one key-sorted FRONTIER_SCHEMA table."""
+    import ray
+
+    blocks = ray.get(list(res.crawldb.to_arrow_refs()))
+    return pa.concat_tables(blocks).select(FRONTIER_SCHEMA.names).sort_by("key")
+
+
+def _fetched_per_depth(root: str, res) -> list:
+    """Each depth's fetched keys, read back from its checkpoint."""
+    out = []
+    for m in res.depths:
+        fdir = os.path.join(root, f"depth={m.depth}", "fetch")
+        keys = (
+            pq.read_table(fdir, columns=["key"])["key"].to_pylist()
+            if m.generated else []
+        )
+        out.append(sorted(keys))
+    return out
+
+
+def test_crawl_is_bucket_invariant(ray_session, pages, tmp_path):
+    """The merge bucket count changes the layout, never the crawl: the
+    same final crawldb (every column) and the same per-depth fetch
+    lists at 1, 3 and 64 buckets and at 0 (sized to the data) — also
+    when a crawl checkpointed at 64 buckets resumes at 0."""
+    seeds = SPEC.seeds()
+
+    def crawl(root, buckets, depth, resumable=False):
+        cfg = CrawlerConfig(
+            fetch_concurrency=2, merge_num_buckets=buckets,
+            resumable=resumable,
+        )
+        c = BreadthCrawler(root, True, pages, config=cfg,
+                           deterministic_time=True)
+        c.add_seed(seeds)
+        c.add_regex(REGEX)
+        return c.start(depth)
+
+    runs = {}
+    for b in (1, 3, 64, 0):
+        root = str(tmp_path / f"b{b}")
+        res = crawl(root, b, 10)
+        runs[b] = (_arrow_crawldb(res), _fetched_per_depth(root, res))
+        if b:
+            assert all(m.merge_buckets == b for m in res.depths)
+    db_ref, fetched_ref = runs[1]
+    assert len(db_ref) and sum(map(len, fetched_ref))
+    for b, (db, fetched) in runs.items():
+        assert db.equals(db_ref), b
+        assert fetched == fetched_ref, b
+
+    root = str(tmp_path / "resumed")
+    crawl(root, 64, 2)
+    res = crawl(root, 0, 8, resumable=True)
+    assert _arrow_crawldb(res).equals(db_ref)
+    assert _fetched_per_depth(root, res) == fetched_ref[2:]
+    # a few dozen rows on 4 CPUs: the rule picks 4 at every depth
+    assert [m.merge_buckets for m in res.depths] == [4] * len(res.depths)
+
+
+def test_merge_num_buckets_zero_sizes_to_data(ray_session):
+    """0 buckets means "size to the data", not "no reduce tasks": a
+    3-site crawl at 0 fetches the whole web, and every depth records
+    the count the rule chose (4 CPUs, a few dozen rows: 4 buckets)."""
+    from webcollector_ray.sources.pagestore import SynthPageStore
+
+    spec = SynthSpec(num_sites=3)
+    cfg = CrawlerConfig(fetch_concurrency=2, merge_num_buckets=0)
+    c = RamCrawler(SynthPageStore(spec), config=cfg, deterministic_time=True)
+    c.add_seed(spec.seeds())
+    c.add_regex(REGEX)
+    res = c.start(10)
+    n_pages = spec.num_sites * (spec.lists_per_site + spec.shows_per_site)
+    assert res.total_fetched == res.crawldb.count() == n_pages
+    assert len(res.depths) > 2
+    assert [m.merge_buckets for m in res.depths] == [4] * len(res.depths)
+    assert res.crawldb.num_blocks() == 4
+
+
+def test_negative_merge_buckets_rejected(ray_session):
+    import ray.data as rd
+
+    from webcollector_ray.model import datums_to_table
+
+    with pytest.raises(ValueError, match="merge_num_buckets"):
+        CrawlerConfig(merge_num_buckets=-1)
+    ds = rd.from_arrow(datums_to_table([CrawlDatum("http://a.test/")]))
+    with pytest.raises(ValueError, match="num_buckets"):
+        dedupe_by_key_refs([(ds, 0)], -1)
+
+
+def test_merge_sizes_from_block_metadata(ray_session):
+    """Without a count, the exchange sizes itself from the row counts
+    in its inputs' block metadata: one output block per bucket."""
+    import ray
+    import ray.data as rd
+
+    from webcollector_ray.model import datums_to_table
+
+    t = datums_to_table([CrawlDatum(f"http://a.test/{i}") for i in range(10)])
+    ds = rd.from_arrow([t.slice(0, 4), t.slice(4)])
+    refs, counts, _ = dedupe_by_key_refs([(ds, 0)])
+    assert len(refs) == size_buckets(0, 10) == 4
+    assert sum(ray.get(counts)) == 10
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 4, 32])
+def test_size_buckets_rule(cpus):
+    for rows in (0, 1, 100, ROW_TARGET - 1, ROW_TARGET, ROW_TARGET + 1,
+                 13_000_000, 10**10):
+        n = size_buckets(0, rows, cpus)
+        assert n & (n - 1) == 0, (rows, n)  # a power of two
+        assert n >= cpus
+        assert rows <= n * ROW_TARGET       # no bucket above the target
+        # ... and the smallest count with those properties
+        assert n == 1 or n // 2 < cpus or rows > n // 2 * ROW_TARGET
+    for explicit in (1, 3, 64, 1000):
+        assert size_buckets(explicit, 10**10, cpus) == explicit
+    with pytest.raises(ValueError):
+        size_buckets(-1, 10, cpus)
 
 
 def test_failed_pages_retry_until_max(ray_session, pages):

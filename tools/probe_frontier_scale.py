@@ -10,8 +10,9 @@ segment (N/5 candidate URLs, half duplicates of crawldb keys — the
 dedup work), then times:
 
   1. merge_segments — the per-depth fetch > crawldb > link anti-join
-     exchange at num_buckets=64, consumed by count() so timing covers
-     the full streaming execution;
+     exchange at --buckets (0 = the engine's size-to-data rule),
+     consumed by count() so timing covers the full streaming
+     execution; --repeat times it several times on the same inputs;
   2. generate — the status filter + execute-count gate over the merged
      frontier;
   3. the sharded bloom URL-seen filter over all N keys (state/seen.py).
@@ -19,6 +20,14 @@ dedup work), then times:
 Prints one JSON line with rows/s per stage and /proc/stat steal.
 
 Usage: python tools/probe_frontier_scale.py [--rows 10000000]
+           [--buckets N] [--repeat R] [--merge-only] [--preload]
+
+Bucket sweep (merge stage only, one process per bucket count):
+
+    for b in 4 16 64 256 0; do
+        python tools/probe_frontier_scale.py --rows 2000000 --cpus 4 \
+            --preload --merge-only --repeat 3 --buckets $b
+    done
 """
 from __future__ import annotations
 
@@ -126,6 +135,14 @@ def main() -> None:
         "inside the timed window otherwise, which measures the disk, "
         "not the merge (a real cluster's read bandwidth scales with "
         "nodes; one box's does not)"))
+    ap.add_argument("--buckets", type=int, default=0, help=(
+        "merge buckets; 0 (default) sizes the merge to its input rows "
+        "and the cluster CPUs, as the crawler does"))
+    ap.add_argument("--repeat", type=int, default=1,
+                    help="time the merge this many times; secs and "
+                         "rows_per_s report the median")
+    ap.add_argument("--merge-only", action="store_true",
+                    help="stop after the merge stage")
     args = ap.parse_args()
 
     import ray
@@ -179,22 +196,33 @@ def main() -> None:
         out["preload"] = True
 
     # 1. per-depth merge: fetch > crawldb > link, consumed by count()
-    s0, t0 = steal(), time.time()
-    merged = merge_segments(
-        db_in, fetch_in, link_in,
-        num_buckets=64,
-    ).materialize()  # full streaming execution lands here
+    times = []
+    s0 = steal()
+    for _ in range(max(1, args.repeat)):
+        merged = None  # free the previous repeat's output first
+        t0 = time.time()
+        merged = merge_segments(
+            db_in, fetch_in, link_in, num_buckets=args.buckets,
+        ).materialize()  # full streaming execution lands here
+        times.append(time.time() - t0)
     n_merged = merged.count()
-    dt = time.time() - t0
     sj = steal() - s0
+    dt = float(np.median(times))
     in_rows = n + n // 10 + n // 5
     out["stages"]["merge"] = {
+        "buckets": merged.num_blocks(),
         "secs": round(dt, 3), "rows_in": in_rows,
         "rows_out": n_merged,
         "rows_per_s": round(in_rows / dt),
+        "rows_per_s_all": [round(in_rows / t) for t in times],
         "steal_jiffies": sj,
-        "steal_ratio": round(sj / (dt * 100 * args.cpus), 5),
+        "steal_ratio": round(sj / (sum(times) * 100 * args.cpus), 5),
     }
+    if args.merge_only:
+        print(json.dumps(out))
+        shutil.rmtree(args.workdir, ignore_errors=True)
+        ray.shutdown()
+        return
 
     # 2. generate over the 10M frontier (status + execute-count gates)
     s0, t0 = steal(), time.time()

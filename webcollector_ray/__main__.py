@@ -97,6 +97,7 @@ def cmd_crawl(args) -> None:
                 "ok": m.fetch_success,
                 "fail": m.fetch_failed,
                 "crawldb": m.crawldb_size,
+                "merge_buckets": m.merge_buckets,
                 "seconds": round(m.seconds, 3),
             }
             for m in res.depths
@@ -415,7 +416,9 @@ def main(argv=None) -> None:
     c.add_argument("--topn", type=int, default=0)
     c.add_argument("--fetch-concurrency", type=int, default=8)
     c.add_argument("--batch-size", type=int, default=256)
-    c.add_argument("--merge-buckets", type=int, default=64)
+    c.add_argument("--merge-buckets", type=int, default=0, help=(
+        "hash buckets per merge exchange; 0 (default) sizes each merge "
+        "to its input rows and the cluster CPUs"))
     c.add_argument("--obey-robots", action="store_true")
     c.add_argument("--politeness-ms", type=int, default=0)
     c.add_argument("--approximate-seen", action="store_true")

@@ -41,7 +41,11 @@ class CrawlerConfig:
     # --- Ray execution knobs (this engine, not the reference) ---
     fetch_concurrency: int = 8         # actor-pool size for the fetch stage
     fetch_batch_size: int = 256        # frontier rows per fetch batch
-    merge_num_buckets: int = 64        # hash buckets for the merge exchange (A1)
+    merge_num_buckets: int = 0         # hash buckets for every merge exchange
+                                       # (A1): 0 sizes each merge to its input
+                                       # rows and the cluster CPUs
+                                       # (stages/merge.size_buckets); > 0
+                                       # forces exactly that many
     resumable: bool = False            # keep / reuse the crawl_path checkpoints
     checkpoint_readback: bool = False  # re-read each depth's parquet instead
                                        # of keeping object-store refs: lets
@@ -66,6 +70,13 @@ class CrawlerConfig:
                                        # list by this meta key DESC (then key
                                        # ASC) — the per-depth priority queue;
                                        # "" keeps canonical key order
+
+    def __post_init__(self):
+        if self.merge_num_buckets < 0:
+            raise ValueError(
+                f"merge_num_buckets must be >= 0 (0 = size to the data), "
+                f"got {self.merge_num_buckets}"
+            )
 
     def replace(self, **kw) -> "CrawlerConfig":
         return dataclasses.replace(self, **kw)

@@ -54,7 +54,13 @@ from ..regex_rule import RegexRule
 from ..sources.pagestore import BroadcastPageStore, BucketedPageStore
 from ..stages.execute import run_execute
 from ..stages.generate import count_eligible, generate
-from ..stages.merge import dedupe_by_key, dedupe_by_key_refs, merge_segments
+from ..stages.merge import (
+    cluster_cpus,
+    dedupe_by_key,
+    dedupe_by_key_refs,
+    merge_segments,
+    size_buckets,
+)
 from ..state.frontier import CheckpointStore
 from ..state.seen import ShardedSeenFilter
 
@@ -67,6 +73,8 @@ class DepthMetrics:
     fetch_failed: int = 0
     links: int = 0
     crawldb_size: int = 0
+    merge_buckets: int = 0  # buckets of the merge that built this
+                            # depth's crawldb; 0 when none ran
     seconds: float = 0.0
 
 
@@ -182,6 +190,7 @@ class Crawler:
         self._seeds: List[CrawlDatum] = []
         self._forced_seeds: List[CrawlDatum] = []
         self.seen: Optional[ShardedSeenFilter] = None
+        self._cpus: Optional[int] = None  # cluster CPUs, read per start()
 
     # --- seeds (crawler/Crawler.java:169-330 addSeed variants) ---
     def add_seed(self, seed, force: bool = False, type: Optional[str] = None):
@@ -214,17 +223,16 @@ class Crawler:
 
     # --- inject (crawldb/Injector.java; DBManager.inject :49-86):
     # forced seeds overwrite existing keys, plain seeds insert-if-absent.
-    def _inject(self, crawldb):
+    # Only a fresh crawl injects, so there is no crawldb to merge into.
+    def _inject(self, num_buckets: int):
         seed_tbls = []
         if self._forced_seeds:
             seed_tbls.append((rd.from_arrow(datums_to_table(self._dedupe_seeds(self._forced_seeds, last_wins=True))), 0))
-        if crawldb is not None:
-            seed_tbls.append((crawldb, 1))
         if self._seeds:
             seed_tbls.append((rd.from_arrow(datums_to_table(self._dedupe_seeds(self._seeds, last_wins=False))), 2))
         if not seed_tbls:
             raise ValueError("Please add at least one seed")  # Crawler.java:106-109
-        return dedupe_by_key(seed_tbls, self.config.merge_num_buckets)
+        return dedupe_by_key(seed_tbls, num_buckets)
 
     @staticmethod
     def _dedupe_seeds(datums: List[CrawlDatum], last_wins: bool) -> List[CrawlDatum]:
@@ -266,7 +274,8 @@ class Crawler:
         # if the whole frontier holds <= threshold rows no host can be
         # hot — skip the census execution (count() is metadata-free on a
         # materialized dataset)
-        if threshold > 0 and generated.count() > threshold:
+        n_generated = generated.count()
+        if threshold > 0 and n_generated > threshold:
             # hot-host census, distributed (VERDICT r2 §wrong.3): each
             # block emits per-host PARTIAL counts (vectorized extract +
             # value_counts), one host-hash exchange sums them, and only
@@ -275,7 +284,9 @@ class Crawler:
             # exists anywhere.
             import zlib as _zlib
 
-            census_buckets = 32
+            # sized like a merge of the fetch list (its row count bounds
+            # the per-block host counts the census exchanges)
+            census_buckets = size_buckets(0, n_generated, self._cpus)
 
             def census_local(batch: pa.Table) -> pa.Table:
                 hosts = hosts_of_array(batch["url"])
@@ -448,7 +459,16 @@ class Crawler:
         ckpt: Optional[CheckpointStore] = (
             CheckpointStore(self.crawl_path) if self.crawl_path else None
         )
+        # every merge is sized from the rows the driver already knows
+        # (size_buckets): seeds at inject, then the previous depth's
+        # crawldb_size + generated + links
+        self._cpus = cluster_cpus()
+
+        def buckets(rows: int) -> int:
+            return size_buckets(cfg.merge_num_buckets, rows, self._cpus)
+
         crawldb = fetch_seg = link_seg = None
+        merge_rows = 0
         start_depth = 0
         resumed = False
         if ckpt is not None:
@@ -460,6 +480,11 @@ class Crawler:
                     crawldb = ckpt.read_dataset(last, "crawldb")
                     fetch_seg = ckpt.read_dataset(last, "fetch") if ckpt.has_table(last, "fetch") else None
                     link_seg = ckpt.read_dataset(last, "link") if ckpt.has_table(last, "link") else None
+                    man = ckpt.read_manifest(last)
+                    merge_rows = sum(
+                        man.get(k, 0)
+                        for k in ("crawldb_size", "generated", "links")
+                    )
                     start_depth = last + 1
                     resumed = True
 
@@ -470,7 +495,8 @@ class Crawler:
             )
 
         if not resumed:
-            crawldb = self._inject(crawldb)
+            merge_rows = len(self._seeds) + len(self._forced_seeds)
+            crawldb = self._inject(buckets(merge_rows))
             if self.seen is not None:
                 # ONE batched probe: a per-seed call is a synchronous
                 # actor round-trip each (75 s for 15k seeds)
@@ -495,8 +521,9 @@ class Crawler:
                 # each reduce bucket also returns its generate-eligible
                 # count (default G1/G2 predicate; user filters/topN can
                 # only DROP among those rows) — no extra task wave
+                m.merge_buckets = buckets(merge_rows)
                 table_refs, count_refs, elig_refs = dedupe_by_key_refs(
-                    parts, cfg.merge_num_buckets,
+                    parts, m.merge_buckets,
                     eligible_max_count=cfg.max_execute_count,
                 )
                 crawldb = rd.from_arrow_refs(table_refs)
@@ -505,6 +532,8 @@ class Crawler:
             else:
                 crawldb = crawldb.materialize()
                 m.crawldb_size = crawldb.count()
+                if not resumed:  # the inject merge built it
+                    m.merge_buckets = buckets(merge_rows)
                 # no merge this depth (fresh inject): one tiny wave
                 eligible = sum(
                     ray.get(
@@ -596,6 +625,7 @@ class Crawler:
                     if cfg.checkpoint_readback:
                         link_seg = ckpt.read_dataset(i, "link")
 
+            merge_rows = m.crawldb_size + m.generated + m.links
             m.seconds = time.time() - dt0
             result.depths.append(m)
             if ckpt is not None:
@@ -607,7 +637,7 @@ class Crawler:
         # fold trailing segments so the returned crawldb is the fixed point
         if fetch_seg is not None or link_seg is not None:
             crawldb = merge_segments(
-                crawldb, fetch_seg, link_seg, cfg.merge_num_buckets
+                crawldb, fetch_seg, link_seg, buckets(merge_rows)
             )
             crawldb = crawldb.materialize()
             if ckpt is not None:

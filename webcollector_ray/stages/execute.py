@@ -373,8 +373,9 @@ def run_execute(
     # from_arrow block) under-parallelizes the fetch regardless of
     # batch_size. Splitting to fetch_batch_size-row blocks makes every
     # batch its own task. The crawler passes repartition_input=False —
-    # its frontier is already merge_num_buckets hash-partitioned blocks
-    # and the extra pass would cost more than it buys per depth.
+    # its frontier is already one hash-partitioned block per merge
+    # bucket, at least one per cluster CPU (merge.size_buckets), and
+    # the extra pass would cost more than it buys per depth.
     if repartition_input:
         generated = generated.repartition(
             target_num_rows_per_block=config.fetch_batch_size

@@ -28,14 +28,23 @@ This replaces ``union().groupby(bucket).map_groups(...)``: Ray Data's
 sort-based groupby costs ~0.1 s of fixed overhead per *input block*
 (boundary sampling + per-block sort + merge tasks) which dominated the
 per-depth wall time — with block counts compounding each depth — while
-the direct exchange is two task waves and caps the output at
-`num_buckets` blocks regardless of input fragmentation. Buckets are
-the reduce unit, not distinct keys, so tiny-group overhead and key
-skew never appear; at 10^10 keys only `num_buckets` needs raising.
+the direct exchange is two task waves and caps the output at one
+block per bucket regardless of input fragmentation. Buckets are the
+reduce unit, not distinct keys, so tiny-group overhead and key skew
+never appear.
+
+Bucket count: every exchange is sized to its data by `size_buckets`,
+next_pow2(max(cluster CPUs, ceil(input rows / ROW_TARGET))), unless
+the caller forces a positive count. A fixed count pays its per-bucket
+task and slice-ref cost at every size: 64 buckets cost a 100-row
+inject as much as a 10M-row merge, and are too many for a 2.6M-row
+merge on 4 CPUs (BASELINE.md, frontier-probe bucket sweep). Powers of
+two keep layouts nested: h mod 2n refines h mod n.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -43,12 +52,41 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
+from ray.data.block import BlockAccessor
 
 from ..functions.joins import _bucket_ids, bucket_slices, fan_out
 from ..model import FRONTIER_SCHEMA
 from .generate import count_eligible
 
 _HELPER_COLS = ["__prec"]
+
+# rows per bucket above which the sizing rule adds buckets. In the
+# frontier-probe sweep (BASELINE.md, 4 CPUs) the merge rate is flat
+# from ~2^17 to ~2^19.5 rows per bucket at 2.6M and 13M input rows and
+# drops outside it; 2^18 sits inside and gives 64 buckets at 13M rows
+ROW_TARGET = 1 << 18
+
+
+def cluster_cpus() -> int:
+    """The cluster's CPU count, at least 1."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def size_buckets(num_buckets: int, rows: int,
+                 cpus: Optional[int] = None) -> int:
+    """The bucket count of one exchange over `rows` input rows: a
+    positive `num_buckets` is returned unchanged (explicit override),
+    0 means size to the data, next_pow2(max(cpus, ceil(rows /
+    ROW_TARGET))) — one bucket per CPU at least, and no bucket above
+    ROW_TARGET rows on an even hash. `cpus` defaults to the cluster's."""
+    if num_buckets < 0:
+        raise ValueError(f"num_buckets must be >= 0, got {num_buckets}")
+    if num_buckets:
+        return num_buckets
+    if cpus is None:
+        cpus = cluster_cpus()
+    need = max(1, cpus, math.ceil(rows / ROW_TARGET))
+    return 1 << (need - 1).bit_length()
 
 
 @ray.remote
@@ -59,7 +97,8 @@ def _split_blocks(num_buckets: int, precs: List[int], *tables):
     a run."""
     tagged = []
     for prec, t in zip(precs, tables):
-        if t is None or len(t) == 0 or "key" not in t.column_names:
+        t = BlockAccessor.for_block(t).to_arrow()
+        if len(t) == 0 or "key" not in t.column_names:
             continue
         tagged.append(
             t.append_column(
@@ -108,22 +147,27 @@ def _reduce_bucket(eligible_max_count, *parts):
 
 def dedupe_by_key_refs(
     parts: List[Tuple["ray.data.Dataset", int]],  # noqa: F821
-    num_buckets: int = 64,
+    num_buckets: int = 0,
     max_split_tasks: int = 64,
     eligible_max_count: int = 2**62,
 ):
     """The raw exchange: -> (bucket table refs, bucket row-count refs,
-    generate-eligible count refs). Counts ride back as separate tiny
-    refs so the driver can report frontier sizes (and decide A2
-    termination) without a Dataset count() execution."""
+    generate-eligible count refs), one of each per bucket. Counts ride
+    back as separate tiny refs so the driver can report frontier sizes
+    (and decide A2 termination) without a Dataset count() execution.
+    `num_buckets=0` sizes the exchange with `size_buckets` from the
+    row counts in the input blocks' metadata."""
     if not parts:
         raise ValueError("no parts to merge")
-    pairs = []
+    pairs, rows = [], 0
     for ds, prec in parts:
-        for block_ref in ds.to_arrow_refs():
-            pairs.append((prec, block_ref))
+        for bundle in ds.iter_internal_ref_bundles():
+            for block_ref, meta in bundle.blocks:
+                pairs.append((prec, block_ref))
+                rows += meta.num_rows or 0
     if not pairs:
         raise ValueError("no blocks to merge")
+    num_buckets = size_buckets(num_buckets, rows)
     # grouped like joins.fan_out_grouped (the driver holds
     # O(max_split_tasks * num_buckets) refs); each group's precedence
     # list keeps this loop here
@@ -148,11 +192,12 @@ def dedupe_by_key_refs(
 
 def dedupe_by_key(
     parts: List[Tuple["ray.data.Dataset", int]],  # noqa: F821
-    num_buckets: int = 64,
+    num_buckets: int = 0,
 ):
     """Union datasets and keep, per key, the row from the lowest-precedence
     source (ties broken deterministically). Returns a FRONTIER_SCHEMA
-    Dataset of exactly `num_buckets` hash-partitioned blocks."""
+    Dataset of one hash-partitioned block per bucket; `num_buckets=0`
+    sizes the exchange to the input rows (`size_buckets`)."""
     import ray.data as rd
 
     table_refs, _, _ = dedupe_by_key_refs(parts, num_buckets)
@@ -163,12 +208,12 @@ def merge_segments(
     crawldb: Optional["ray.data.Dataset"],  # noqa: F821
     fetch_seg: Optional["ray.data.Dataset"],  # noqa: F821
     link_seg: Optional["ray.data.Dataset"],  # noqa: F821
-    num_buckets: int = 64,
+    num_buckets: int = 0,
 ):
     """Per-depth merge: fetch > crawldb > link (RocksDBManager.java:160-197).
 
     Pass None for a source that is known empty; at least one source must
-    be present."""
+    be present. `num_buckets=0` sizes the exchange to the input rows."""
     parts = []
     if fetch_seg is not None:
         parts.append((fetch_seg, 0))
