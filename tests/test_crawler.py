@@ -211,6 +211,59 @@ def test_crawl_is_bucket_invariant(ray_session, pages, tmp_path):
     assert [m.merge_buckets for m in res.depths] == [4] * len(res.depths)
 
 
+def _segment_keys(root: str, depth: int, name: str) -> list:
+    """A checkpointed segment's keys, part by part ([] when no part)."""
+    d = os.path.join(root, f"depth={depth}", name)
+    parts = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    return [
+        k for p in parts if p.endswith(".parquet")
+        for k in pq.read_table(os.path.join(d, p), columns=["key"])[
+            "key"].to_pylist()
+    ]
+
+
+def test_seen_filter_state_carried_across_depths(ray_session, pages,
+                                                 tmp_path):
+    """Each depth's probe must be handed the filter state the previous
+    depth returned: no kept link may be a seed or a link kept at an
+    earlier depth, and nothing new may be dropped (fp ~ 0 at the
+    default bits), so seeds + kept links are exactly the crawldb."""
+    root = str(tmp_path / "crawl")
+    cfg = CrawlerConfig(fetch_concurrency=2, approximate_seen=True)
+    c = BreadthCrawler(root, True, pages, config=cfg,
+                       deterministic_time=True)
+    c.add_seed(SPEC.seeds())
+    c.add_regex(REGEX)
+    res = c.start(10)
+    known = {d.key for d in c._seeds}
+    links_total = 0
+    for m in res.depths:
+        keys = _segment_keys(root, m.depth, "link")
+        assert len(keys) == m.links, m.depth
+        assert not known & set(keys), m.depth
+        known |= set(keys)
+        links_total += len(keys)
+    assert links_total
+    assert known == set(_arrow_crawldb(res)["key"].to_pylist())
+
+
+@pytest.mark.parametrize("approx", [True, False])
+def test_depth_metrics_seen_size(ray_session, pages, approx):
+    """seen_size is the filter's insert count after each depth: the
+    whole final crawldb by the last depth, 0 with the filter off."""
+    cfg = CrawlerConfig(fetch_concurrency=2, approximate_seen=approx)
+    c = RamCrawler(pages, config=cfg, deterministic_time=True)
+    c.add_seed(SPEC.seeds())
+    c.add_regex(REGEX)
+    res = c.start()
+    sizes = [m.seen_size for m in res.depths]
+    if approx:
+        assert sizes == sorted(sizes)
+        assert sizes[-1] == res.crawldb.count()
+    else:
+        assert sizes == [0] * len(sizes)
+
+
 def test_merge_num_buckets_zero_sizes_to_data(ray_session):
     """0 buckets means "size to the data", not "no reduce tasks": a
     3-site crawl at 0 fetches the whole web, and every depth records

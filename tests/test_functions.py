@@ -3080,6 +3080,19 @@ def test_profile_columns_with_nulls(ray_session):
         profile_columns(rd.from_items([{"f": 1.5}]), ["f"])
 
 
+def test_profile_columns_rejects_uint64(ray_session):
+    # uint64 values >= 2^63 overflow the int64 min/max partials, so the
+    # column is refused up front, by name
+    from webcollector_ray.functions.profile import profile_columns
+
+    ds = rd.from_arrow(pa.table({
+        "k": pa.array([1, 2], pa.int64()),
+        "hits_u64": pa.array([1, 2**63 + 5], pa.uint64()),
+    }))
+    with pytest.raises(ValueError, match="'hits_u64' is uint64"):
+        profile_columns(ds, ["k", "hits_u64"])
+
+
 def test_invindex_hardening(ray_session, tmp_path):
     import os
 

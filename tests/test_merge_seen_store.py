@@ -208,9 +208,9 @@ def test_seen_filter_unknown_backend_raises(ray_session):
 @pytest.mark.parametrize("num_shards", [1, 3, 16])
 def test_packed_seen_filter_matches_reference(ray_session, num_shards,
                                               backend):
-    # S logical shards packed onto min(S, CPUs) host actors must answer
+    # S logical shards packed into min(S, CPUs) state groups must answer
     # exactly like S independent shards routed by hash64 % S; at 16
-    # shards on the 4-CPU test cluster several shards share one host.
+    # shards on the 4-CPU test cluster several shards share one group.
     # Small shards so false positives (and cuckoo kicks) do occur.
     import ray
 
@@ -220,7 +220,7 @@ def test_packed_seen_filter_matches_reference(ray_session, num_shards,
     cpus = int(ray.cluster_resources()["CPU"])
     f = ShardedSeenFilter(num_shards=num_shards, bits_per_shard=bits,
                           backend=backend)
-    assert len(f.hosts) == min(num_shards, cpus)
+    assert f.num_groups == min(num_shards, cpus)
     if backend == "bloom":
         ref = [_BloomShard(bits) for _ in range(num_shards)]
     else:
@@ -251,3 +251,45 @@ def test_packed_seen_filter_matches_reference(ray_session, num_shards,
             assert f.approx_size() == sum(s.approx_size() for s in ref), r
     finally:
         f.shutdown()
+
+
+@pytest.mark.parametrize("backend", ["bloom", "cuckoo"])
+def test_unawaited_insert_is_seen_by_next_call(ray_session, backend):
+    # insert() returns before its tasks run; the next call on the same
+    # filter is ordered after it by the group state it is handed
+    f = ShardedSeenFilter(num_shards=3, bits_per_shard=1 << 16,
+                          backend=backend)
+    keys = [f"http://ins{i}.test/" for i in range(300)]
+    assert f.insert(keys) is None
+    assert f.add_and_check(keys).all()
+    assert f.approx_size() == 300
+    f.shutdown()
+
+
+def test_filters_do_not_share_state(ray_session):
+    a = ShardedSeenFilter(num_shards=2, bits_per_shard=1 << 16)
+    b = ShardedSeenFilter(num_shards=2, bits_per_shard=1 << 16)
+    keys = [f"http://own{i}.test/" for i in range(200)]
+    assert not a.add_and_check(keys).any()
+    assert not b.check(keys).any()
+    assert b.approx_size() == 0
+    assert not b.add_and_check(keys).any()
+    assert a.approx_size() == b.approx_size() == 200
+    a.shutdown()
+    b.shutdown()
+
+
+@pytest.mark.parametrize("backend", ["bloom", "cuckoo"])
+def test_check_leaves_state_unchanged(ray_session, backend):
+    f = ShardedSeenFilter(num_shards=3, bits_per_shard=1 << 16,
+                          backend=backend)
+    old = [f"http://old{i}.test/" for i in range(100)]
+    new = [f"http://new{i}.test/" for i in range(100)]
+    f.add_and_check(old)
+    assert f.check(old).all()
+    assert not f.check(new).any()
+    assert f.approx_size() == 100
+    # the checked keys were not inserted: they are still new
+    assert not f.add_and_check(new).any()
+    assert f.approx_size() == 200
+    f.shutdown()

@@ -98,6 +98,7 @@ def cmd_crawl(args) -> None:
                 "fail": m.fetch_failed,
                 "crawldb": m.crawldb_size,
                 "merge_buckets": m.merge_buckets,
+                "seen_size": m.seen_size,
                 "seconds": round(m.seconds, 3),
             }
             for m in res.depths

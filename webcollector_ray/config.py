@@ -55,6 +55,8 @@ class CrawlerConfig:
 
     # --- north_rule scale path ---
     seen_shards: int = 16              # seen-filter logical shard count
+                                       # (packed into min(S, CPUs) state
+                                       # groups, one task per group a call)
     seen_bits_per_shard: int = 1 << 23 # bloom bits per shard (1 MiB each)
     approximate_seen: bool = False     # pre-drop probably-seen links via bloom
                                        # (trades exactness for shuffle volume;

@@ -37,6 +37,12 @@ def profile_columns(ds, columns, *, num_buckets: int = 16):
     schema = dict(zip(ds.schema().names, ds.schema().types))
     for c in columns:
         t = schema[c]
+        if pa.types.is_uint64(t):
+            # the int partials are int64: values >= 2^63 would overflow
+            raise ValueError(
+                f"profile_columns: column {c!r} is uint64, which its int64 "
+                "min/max partials cannot hold; cast it first"
+            )
         if not (pa.types.is_integer(t) or pa.types.is_string(t)
                 or pa.types.is_large_string(t)):
             raise ValueError(

@@ -43,7 +43,6 @@ import ray.data as rd
 
 from ..config import CrawlerConfig
 from ..dispatch import Visitor
-from ..functions.joins import bucket_slices, fan_out
 from ..model import (
     FRONTIER_SCHEMA,
     STATUS_DB_SUCCESS,
@@ -62,7 +61,7 @@ from ..stages.merge import (
     size_buckets,
 )
 from ..state.frontier import CheckpointStore
-from ..state.seen import ShardedSeenFilter
+from ..state.seen import ShardedSeenFilter, split_by_shard
 
 
 @dataclass
@@ -75,6 +74,8 @@ class DepthMetrics:
     crawldb_size: int = 0
     merge_buckets: int = 0  # buckets of the merge that built this
                             # depth's crawldb; 0 when none ran
+    seen_size: int = 0      # seen-filter inserts after this depth;
+                            # 0 when the filter is off
     seconds: float = 0.0
 
 
@@ -93,45 +94,14 @@ class CrawlResult:
         return sum(d.links for d in self.depths)
 
 
-@ray.remote
-def _split_links_by_shard(num_shards: int, table: pa.Table):
-    """Partition a link block by seen-filter shard id (hash column
-    rides along as __h so the shard task doesn't re-hash)."""
-    import numpy as np
-
-    from ..state.seen import hash64_batch
-
-    if "key" not in table.column_names or len(table) == 0:
-        return bucket_slices(None, None, num_shards)
-    hashes = hash64_batch(table["key"].to_pylist())
-    table = table.append_column("__h", pa.array(hashes))
-    sid = (hashes % np.uint64(num_shards)).astype(np.int64)
-    return bucket_slices(table, sid, num_shards)
-
-
-@ray.remote(num_returns=2)
-def _filter_links_shard(host, shard: int, *parts):
-    """One task per shard per depth: concat this shard's link rows,
-    ONE add_and_check round-trip to the actor hosting the shard, keep
-    probably-unseen rows."""
-    import numpy as np
-
-    tables = [t for t in parts if t is not None and len(t)]
-    if not tables:
-        return FRONTIER_SCHEMA.empty_table(), 0
-    cat = pa.concat_tables(tables, promote_options="permissive")
-    hashes = np.asarray(cat["__h"].to_pylist(), dtype=np.uint64)
-    seen = ray.get(host.call.remote("add_and_check", {shard: hashes}))[shard]
-    kept = cat.filter(pa.array(~seen)).drop_columns(["__h"])
-    return kept, len(kept)
-
-
 _count_generate_eligible = ray.remote(count_eligible)
 
 
-@ray.remote(num_returns=3)
-def _split_exec_block(table: pa.Table):
-    """One executed block -> (fetch rows, link rows, tallies). A raw
+@ray.remote
+def _split_exec_block(seen_shards: int, table: pa.Table):
+    """One executed block -> (fetch rows, tallies, link rows): the link
+    rows come back as one table, or with a seen filter as seen_shards
+    split_by_shard slices, so 2 + max(1, seen_shards) returns. A raw
     task wave over the materialized blocks replaces three separate
     Dataset executions per depth (two filter passes + a status-tally
     pass) — each execution costs ~0.3-0.5 s of fixed streaming-executor
@@ -140,23 +110,29 @@ def _split_exec_block(table: pa.Table):
 
     if "seg" not in table.column_names:  # schema-less empty block
         empty = FRONTIER_SCHEMA.empty_table()
-        return empty, empty, {"n_fetch": 0, "n_link": 0, "ok": 0, "fail": 0}
-    fmask = pc.equal(table["seg"], "fetch")
-    fetch = table.filter(fmask).drop_columns(["seg"])
-    link = table.filter(pc.invert(fmask)).drop_columns(["seg"])
-    ok = (
-        pc.sum(
-            pc.cast(pc.equal(fetch["status"], STATUS_DB_SUCCESS), pa.int64())
-        ).as_py()
-        or 0
-    )
-    stats = {
-        "n_fetch": len(fetch),
-        "n_link": len(link),
-        "ok": int(ok),
-        "fail": len(fetch) - int(ok),
-    }
-    return fetch, link, stats
+        fetch = link = empty
+        stats = {"n_fetch": 0, "n_link": 0, "ok": 0, "fail": 0}
+    else:
+        fmask = pc.equal(table["seg"], "fetch")
+        fetch = table.filter(fmask).drop_columns(["seg"])
+        link = table.filter(pc.invert(fmask)).drop_columns(["seg"])
+        ok = (
+            pc.sum(
+                pc.cast(
+                    pc.equal(fetch["status"], STATUS_DB_SUCCESS), pa.int64()
+                )
+            ).as_py()
+            or 0
+        )
+        stats = {
+            "n_fetch": len(fetch),
+            "n_link": len(link),
+            "ok": int(ok),
+            "fail": len(fetch) - int(ok),
+        }
+    if seen_shards:
+        return (fetch, stats, *split_by_shard(link, seen_shards))
+    return fetch, stats, link
 
 
 class Crawler:
@@ -498,11 +474,11 @@ class Crawler:
             merge_rows = len(self._seeds) + len(self._forced_seeds)
             crawldb = self._inject(buckets(merge_rows))
             if self.seen is not None:
-                # ONE batched probe: a per-seed call is a synchronous
-                # actor round-trip each (75 s for 15k seeds)
-                keys = [d.key for d in self._seeds + self._forced_seeds]
-                if keys:
-                    self.seen.add_and_check(keys)
+                # ONE batched insert, not awaited: its mask is unused, and
+                # the depth-0 probe is ordered after it by the state ref
+                self.seen.insert(
+                    [d.key for d in self._seeds + self._forced_seeds]
+                )
 
         for i in range(start_depth, start_depth + depth):
             dt0 = time.time()
@@ -553,6 +529,8 @@ class Crawler:
                     crawldb = ckpt.read_dataset(i, "crawldb")
 
             if eligible == 0:
+                if self.seen is not None:
+                    m.seen_size = self.seen.approx_size()
                 m.seconds = time.time() - dt0
                 result.depths.append(m)
                 if ckpt is not None:
@@ -585,36 +563,37 @@ class Crawler:
                 next_filter=self.next_filter,
             ).materialize()
 
-            # 4. split + status tallies (A3) in one raw-task wave
+            # 4. split + status tallies (A3) in one raw-task wave; with
+            # the seen filter each block's links also come back split by
+            # shard, then ONE probe task per shard group drops the
+            # probably-seen rows (per-batch synchronous probes serialized
+            # the whole stage: 4.7x slower than no filter at 300k pages)
+            shards = self.seen.num_shards if self.seen is not None else 0
             frefs, lrefs, srefs = [], [], []
             for bref in exec_out.to_arrow_refs():
-                f_r, l_r, s_r = _split_exec_block.remote(bref)
+                f_r, s_r, *l_r = _split_exec_block.options(
+                    num_returns=2 + max(1, shards)
+                ).remote(shards, bref)
                 frefs.append(f_r)
-                lrefs.append(l_r)
                 srefs.append(s_r)
+                lrefs.append(l_r)
             stats = ray.get(srefs)
             m.generated = sum(s["n_fetch"] for s in stats)
             m.links = sum(s["n_link"] for s in stats)
             m.fetch_success = sum(s["ok"] for s in stats)
             m.fetch_failed = sum(s["fail"] for s in stats)
             fetch_seg = rd.from_arrow_refs(frefs) if frefs else None
-            link_seg = rd.from_arrow_refs(lrefs) if lrefs else None
-            if self.seen is not None and link_seg is not None:
-                # shard-coherent bloom pre-drop: split each link block
-                # by shard id, then ONE add_and_check per shard per
-                # depth — per-batch synchronous probes serialized the
-                # whole stage (4.7x slower than no filter at 300k pages)
-                S = self.seen.num_shards
-                split = [fan_out(_split_links_by_shard, S, r) for r in lrefs]
-                kept_refs, cnt_refs = [], []
-                for s in range(S):
-                    k_r, c_r = _filter_links_shard.remote(
-                        self.seen.host_of(s), s, *[sp[s] for sp in split]
-                    )
-                    kept_refs.append(k_r)
-                    cnt_refs.append(c_r)
+            link_seg = None
+            if self.seen is not None and lrefs:
+                kept_refs, cnt_refs = self.seen.filter_new(lrefs)
                 link_seg = rd.from_arrow_refs(kept_refs)
-                m.links = sum(ray.get(cnt_refs))
+                counts = ray.get(cnt_refs)
+                m.links = sum(c[0] for c in counts)
+                m.seen_size = sum(c[1] for c in counts)
+            elif lrefs:
+                link_seg = rd.from_arrow_refs([l[0] for l in lrefs])
+            elif self.seen is not None:
+                m.seen_size = self.seen.approx_size()
             if ckpt is not None:
                 if fetch_seg is not None:
                     ckpt.write_table(fetch_seg, i, "fetch")

@@ -11,13 +11,27 @@ seen-state is single-writer-per-shard and memory scales horizontally
 (a 10^10-URL frontier at 10 bits/url is ~12 GB — far beyond one node,
 hence sharding).
 
-A shard is a unit of state, not a process: the S shard objects live on
-H = min(S, cluster CPUs) `_ShardHost` actors, logical shard s on host
-s % H. Each shard sees exactly the key batches it would see as its own
-actor, so every mask and `approx_size` is the same as one actor per
-shard, while a crawler no longer starts more processes than the
-cluster has CPUs (S and its per-shard bits still set the false-positive
-rate).
+A shard is a unit of state, not a process: the S shard objects are
+packed into G = min(S, cluster CPUs) groups, logical shard s in group
+s % G, and each group lives in the object store as ONE state ref. An
+operation is one plain task per group that receives the group's state:
+a mutating call (`add_and_check`, `add`, `delete`, the crawler's link
+probe) returns the new state next to its result and the driver swaps
+in the new ref; `check` and `approx_size` return no state. Successive
+calls on a group are ordered by that data dependency alone, so a call
+may be submitted without waiting (`insert`). A group's shards are
+built inside its first task from (shard class, arg, shard ids) — the
+driver never allocates the bit arrays. Each shard sees exactly the key
+batches it would see as its own process, so every mask and
+`approx_size` is the same for any G, and a crawl starts no worker
+process of its own (the tasks run in Ray's pooled workers).
+
+Cost: a mutating task deep-copies its group's state before it touches
+it (an object-store input is read-only, and a retried task must re-run
+on the same input — which is also why a killed worker loses nothing).
+That is one copy of the group's bits per mutating call (1 MiB per
+default bloom shard), cheap at the crawler's one probe per depth but a
+real cost for callers that stream many small batches.
 
 Because blooms have false positives, pre-dropping "seen" links loses
 (~fp_rate) genuinely-new URLs — so this is only used when
@@ -42,12 +56,20 @@ Two shard backends (pick via ShardedSeenFilter(backend=...)):
 
 from __future__ import annotations
 
+import copy
 from typing import List, Sequence
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray
+
+from ..functions.joins import bucket_slices
+from ..model import FRONTIER_SCHEMA
+
+# column carrying a link row's key hash from split_by_shard to the probe
+HASH_COLUMN = "__h"
 
 
 def hash64_batch(keys: Sequence[str]) -> np.ndarray:
@@ -88,7 +110,10 @@ class _BloomShard:
         bit = np.uint64(1) << (pos & np.uint64(63))
         seen = np.all((self.words[word_idx] & bit) != 0, axis=1)
         np.bitwise_or.at(self.words, word_idx, bit)
-        self.count += int((~seen).sum())
+        # distinct new keys, as the cuckoo shard counts them: a key
+        # repeated inside one batch is reported unseen each time but
+        # inserted once
+        self.count += len(np.unique(hashes[~seen]))
         return seen
 
     def check(self, hashes: np.ndarray) -> np.ndarray:
@@ -292,26 +317,87 @@ class _CuckooShard:
         return self.count
 
 
-@ray.remote(num_cpus=0.1)
-class _ShardHost:
-    """One actor holding several logical shards ({shard id: shard})."""
+def _built(state) -> dict:
+    """A group's state as {shard id: shard}: a dict as is, or a
+    (shard class, arg, shard ids) spec built into empty shards."""
+    if isinstance(state, tuple):
+        shard_cls, arg, shard_ids = state
+        return {s: shard_cls(arg) for s in shard_ids}
+    return state
 
-    def __init__(self, shard_cls, arg, shard_ids):
-        self.shards = {s: shard_cls(arg) for s in shard_ids}
 
-    def call(self, method: str, batches: dict) -> dict:
-        """Run `method` on each listed shard: {shard id: hashes} ->
-        {shard id: mask}."""
-        return {
-            s: getattr(self.shards[s], method)(h) for s, h in batches.items()
-        }
+def _owned(state) -> dict:
+    """A group's shards that this task may mutate: the object-store
+    input is read-only and a retry must re-run on the same input, so a
+    built state is deep-copied first."""
+    if isinstance(state, tuple):
+        return _built(state)
+    return copy.deepcopy(state)
 
-    def approx_size(self) -> int:
-        return sum(sh.approx_size() for sh in self.shards.values())
+
+@ray.remote(num_returns=2)
+def _group_update(state, method: str, batches: dict):
+    """Mutating call on one group: {shard id: hashes} -> (new state,
+    {shard id: mask})."""
+    shards = _owned(state)
+    return shards, {
+        s: getattr(shards[s], method)(h) for s, h in batches.items()
+    }
+
+
+@ray.remote
+def _group_read(state, method: str, batches: dict) -> dict:
+    """Read-only call on one group: {shard id: hashes} -> {shard id: mask}."""
+    shards = _built(state)
+    return {s: getattr(shards[s], method)(h) for s, h in batches.items()}
+
+
+@ray.remote
+def _group_size(state) -> int:
+    return sum(sh.approx_size() for sh in _built(state).values())
+
+
+@ray.remote
+def _group_filter(state, shard_ids, n_blocks: int, *parts):
+    """The crawler's per-depth link probe for one group: `parts` holds
+    each of its shards' slices (n_blocks per shard, shard-major, carrying
+    HASH_COLUMN). ONE add_and_check per shard over its concatenated
+    rows -> (new state, (kept rows, group inserts), kept table of each
+    shard without HASH_COLUMN)."""
+    shards = _owned(state)
+    kept = []
+    for j, s in enumerate(shard_ids):
+        tables = [
+            t for t in parts[j * n_blocks:(j + 1) * n_blocks]
+            if t is not None and len(t)
+        ]
+        if not tables:
+            kept.append(FRONTIER_SCHEMA.empty_table())
+            continue
+        cat = pa.concat_tables(tables, promote_options="permissive")
+        seen = shards[s].add_and_check(cat[HASH_COLUMN].to_numpy())
+        kept.append(cat.filter(pa.array(~seen)).drop_columns([HASH_COLUMN]))
+    size = sum(sh.approx_size() for sh in shards.values())
+    return (shards, (sum(len(t) for t in kept), size), *kept)
+
+
+def split_by_shard(table: pa.Table, num_shards: int) -> list:
+    """A key table -> num_shards slices by seen shard (None when empty),
+    each row carrying its key hash as HASH_COLUMN so the probe does not
+    re-hash."""
+    if table is None or len(table) == 0:
+        return [None] * num_shards
+    hashes = hash64_batch(table["key"].to_pylist())
+    sid = (hashes % np.uint64(num_shards)).astype(np.int64)
+    out = bucket_slices(
+        table.append_column(HASH_COLUMN, pa.array(hashes)), sid, num_shards
+    )
+    return [out] if num_shards == 1 else list(out)
 
 
 class ShardedSeenFilter:
-    """Driver-side handle routing key batches to the shard hosts."""
+    """Driver-side handle: routes key batches to the shard groups and
+    holds each group's current state ref."""
 
     def __init__(
         self,
@@ -330,21 +416,18 @@ class ShardedSeenFilter:
         else:
             raise ValueError(f"unknown seen-filter backend: {backend!r}")
         cpus = int(ray.cluster_resources().get("CPU", 1))
-        n_hosts = max(1, min(num_shards, cpus))
-        self.hosts: List = [
-            _ShardHost.remote(shard_cls, arg, range(h, num_shards, n_hosts))
-            for h in range(n_hosts)
+        self.num_groups = max(1, min(num_shards, cpus))
+        # a group's state: its build spec until the first mutating call
+        # returns the shards as an object ref
+        self._states: List = [
+            (shard_cls, arg, tuple(range(g, num_shards, self.num_groups)))
+            for g in range(self.num_groups)
         ]
 
-    def host_of(self, shard: int):
-        """The actor holding logical shard `shard`."""
-        return self.hosts[shard % len(self.hosts)]
-
-    def _call(self, method: str, keys: Sequence[str]) -> np.ndarray:
-        """Route keys to their shards (hash64 % S), ONE call per host
-        carrying all its shards' batches; returns the per-key mask."""
-        if not len(keys):
-            return np.zeros(0, dtype=bool)
+    def _submit(self, method: str, keys: Sequence[str]):
+        """Route keys to their shards (hash64 % S) and launch ONE task
+        per group carrying all its shards' batches -> (row indices per
+        shard, result refs)."""
         hashes = hash64_batch(keys)
         shard_ids = (hashes % np.uint64(self.num_shards)).astype(np.int64)
         idx_of = {}
@@ -353,11 +436,25 @@ class ShardedSeenFilter:
             idx = np.nonzero(shard_ids == s)[0]
             if len(idx):
                 idx_of[s] = idx
-                batches.setdefault(s % len(self.hosts), {})[s] = hashes[idx]
+                batches.setdefault(s % self.num_groups, {})[s] = hashes[idx]
+        refs = []
+        for g, b in batches.items():
+            if method == "check":
+                refs.append(_group_read.remote(self._states[g], method, b))
+            else:
+                self._states[g], r = _group_update.remote(
+                    self._states[g], method, b
+                )
+                refs.append(r)
+        return idx_of, refs
+
+    def _call(self, method: str, keys: Sequence[str]) -> np.ndarray:
+        """Run `method` on every key's shard; returns the per-key mask."""
         result = np.zeros(len(keys), dtype=bool)
-        for out in ray.get(
-            [self.hosts[h].call.remote(method, b) for h, b in batches.items()]
-        ):
+        if not len(keys):
+            return result
+        idx_of, refs = self._submit(method, keys)
+        for out in ray.get(refs):
             for s, mask in out.items():
                 result[idx_of[s]] = mask
         return result
@@ -365,6 +462,12 @@ class ShardedSeenFilter:
     def add_and_check(self, keys: Sequence[str]) -> np.ndarray:
         """Mark all keys seen; return already-seen mask (aligned to keys)."""
         return self._call("add_and_check", keys)
+
+    def insert(self, keys: Sequence[str]) -> None:
+        """add_and_check without waiting for (or returning) the mask;
+        every later call on the filter still sees these keys."""
+        if len(keys):
+            self._submit("add_and_check", keys)
 
     def add(self, keys: Sequence[str]) -> np.ndarray:
         """Multiset insert (cuckoo: one fingerprint copy per call even
@@ -394,10 +497,29 @@ class ShardedSeenFilter:
             )
         return self._call("delete", keys)
 
+    def filter_new(self, slices: List[list]):
+        """Keep the probably-unseen rows of a link segment and mark
+        them seen: `slices[b][s]` is block b's split_by_shard slice for
+        shard s. One task per group, nothing awaited -> (kept table ref
+        of each shard in shard order, one (kept rows, group inserts)
+        ref per group)."""
+        kept: list = [None] * self.num_shards
+        counts = []
+        for g in range(self.num_groups):
+            ids = list(range(g, self.num_shards, self.num_groups))
+            out = _group_filter.options(num_returns=2 + len(ids)).remote(
+                self._states[g], ids, len(slices),
+                *[sl[s] for s in ids for sl in slices],
+            )
+            self._states[g] = out[0]
+            counts.append(out[1])
+            for s, r in zip(ids, out[2:]):
+                kept[s] = r
+        return kept, counts
+
     def approx_size(self) -> int:
-        return sum(ray.get([h.approx_size.remote() for h in self.hosts]))
+        return sum(ray.get([_group_size.remote(st) for st in self._states]))
 
     def shutdown(self) -> None:
-        for h in self.hosts:
-            ray.kill(h)
-        self.hosts = []
+        """Drop the state refs (the object store frees them)."""
+        self._states = []
