@@ -239,16 +239,16 @@ def run_scaling(sf_dir: str, n_cpus: int, n4_cpus: int,
 
 
 def run_stats(sf_dir: str, cpus: int, sites: int = 2000) -> None:
-    """Print ds.stats() for the two big stages (fused execute, merge
-    reduce equivalent) over one wide depth — the tuning evidence loop."""
+    """Time one wide fused-execute wave (fetch + NewsVisitor + split)
+    and print its wall time, per-block row counts and pages/s — the
+    tuning evidence loop. The frontier is cut into fetch_batch_size-row
+    blocks, one fetch task each; a warm-up wave runs first, untimed."""
+    import time
+
     import ray
 
     ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              logging_level="ERROR", log_to_driver=False)
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-    import ray.data as rd
 
     from webcollector_ray.config import CrawlerConfig
     from webcollector_ray.model import CrawlDatum, datums_to_table
@@ -267,16 +267,33 @@ def run_stats(sf_dir: str, cpus: int, sites: int = 2000) -> None:
             for j in range(16)
         ]
     )
-    exec_out = run_execute(
-        rd.from_arrow(frontier),
-        SynthPageStore(spec).handle(),
-        config=cfg,
-        execute_time_ms=1,
-        visitor=NewsVisitor(),
-        auto_parse=True,
-        regex_rule=RegexRule([r"http://site[0-9]+\.test/(list|show)-[0-9]+\.html"]),
-    ).materialize()
-    print(exec_out.stats())
+    step = cfg.fetch_batch_size
+    blocks = [
+        ray.put(frontier.slice(o, step)) for o in range(0, len(frontier), step)
+    ]
+
+    def wave(refs):
+        return run_execute(
+            refs,
+            SynthPageStore(spec).handle(),
+            config=cfg,
+            execute_time_ms=1,
+            visitor=NewsVisitor(),
+            auto_parse=True,
+            regex_rule=RegexRule(
+                [r"http://site[0-9]+\.test/(list|show)-[0-9]+\.html"]
+            ),
+        ).materialize()
+
+    wave(blocks[:cpus])
+    t0 = time.perf_counter()
+    stats = wave(blocks).stats()
+    wall = time.perf_counter() - t0
+    pages = sum(s["n_fetch"] for s in stats)
+    print(f"execute wave: {len(blocks)} blocks, {pages} pages, "
+          f"{sum(s['n_link'] for s in stats)} links, {cpus} cpus")
+    print(f"wall {wall:.3f} s, {pages / wall:.1f} pages/s")
+    print("rows per block: " + " ".join(str(s["n_fetch"]) for s in stats))
     ray.shutdown()
 
 
@@ -290,7 +307,8 @@ def main() -> None:
     ap.add_argument("--sites", type=int, default=None,
                     help="override synthetic web size (num sites)")
     ap.add_argument("--stats", action="store_true",
-                    help="print ds.stats() of the fused execute stage")
+                    help="time one fused execute wave: wall time, "
+                         "per-block rows, pages/s")
     args = ap.parse_args()
 
     if args.stats:

@@ -44,7 +44,8 @@ REGEX = r"http://site[0-9]+\.test/(list|show)-[0-9]+\.html"
 
 
 def sequential_crawl(
-    pages, seeds, rules, depth, config, visitor=None, next_filter=None
+    pages, seeds, rules, depth, config, visitor=None, next_filter=None,
+    generator_filter=None,
 ):
     """Single-process reference model over plain dicts."""
     store = {}
@@ -66,6 +67,13 @@ def sequential_crawl(
             if dm.status != STATUS_DB_SUCCESS
             and dm.execute_count <= config.max_execute_count
         ]
+        if generator_filter is not None:  # G4 on a copy, once per datum
+            gen = [
+                r for r in (
+                    generator_filter(CrawlDatum.from_row(dm.to_row()))
+                    for dm in gen
+                ) if r is not None
+            ]
         if config.topn > 0:
             gen = gen[: config.topn]
         if not gen:
@@ -402,6 +410,148 @@ def test_generator_filter(ray_session, pages):
     df = _final_state(res)
     fetched = df[df["status"] == STATUS_DB_SUCCESS]
     assert all("site1" not in u for u in fetched.index)
+
+
+@pytest.mark.parametrize("topn", [0, 3])
+def test_generator_filter_runs_once(ray_session, pages, topn):
+    """G4 runs exactly once per generated row, whether the fetch task
+    applies it to its crawldb bucket (topn=0) or generate does before
+    the wave (topn>0, task filter off): the final crawldb equals the
+    sequential model's, meta included."""
+    def _append_marker(datum):
+        # not idempotent: two runs on one generation leave "xx"
+        return datum.set_meta("g4", (datum.meta("g4") or "") + "x")
+
+    cfg = CrawlerConfig(merge_num_buckets=4, topn=topn, max_execute_count=2)
+    seeds = SPEC.seeds() + ["http://site0.test/bad-0.html"]  # retried
+    expected_db, _ = sequential_crawl(
+        pages, seeds, [REGEX], 10, cfg, generator_filter=_append_marker,
+    )
+    c = RamCrawler(pages, config=cfg, generator_filter=_append_marker,
+                   deterministic_time=True)
+    c.add_seed(seeds)
+    c.add_regex(REGEX)
+    df = _final_state(c.start(10))
+    assert set(df.index) == set(expected_db.keys())
+    retried = 0
+    for k, dm in expected_db.items():
+        row = df.loc[k]
+        got = CrawlDatum.from_row({"key": k, **row.to_dict()})
+        assert int(row["status"]) == dm.status, k
+        assert int(row["execute_count"]) == dm.execute_count, k
+        assert got.meta_map == dm.meta_map, k
+        assert (dm.meta("g4") or "") == "x" * dm.execute_count, k
+        retried += dm.execute_count > 1
+    assert retried  # failed pages were regenerated: the marker grew
+
+
+def test_run_execute_one_task_per_block(ray_session):
+    """run_execute: k block refs -> k fetch refs in block order, each
+    block's fetch rows, link rows and tallies equal to an in-process
+    ExecuteStage run over it (after generate.filter_block when the
+    blocks are raw crawldb buckets); with S seen shards each link slice
+    holds only keys with hash64 % S == s."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import ray
+
+    from webcollector_ray.model import STATUS_DB_UNEXECUTED, datums_to_table
+    from webcollector_ray.sources.pagestore import SynthPageStore
+    from webcollector_ray.stages.execute import ExecuteStage, run_execute
+    from webcollector_ray.stages.generate import filter_block
+    from webcollector_ray.state.seen import HASH_COLUMN, hash64_batch
+
+    spec = SynthSpec(num_sites=4, failures_per_site=1)
+    store = SynthPageStore(spec)
+    rule = RegexRule([REGEX])
+    cfg = CrawlerConfig(fetch_batch_size=3)
+    done = CrawlDatum("http://site3.test/list-1.html", execute_time=0)
+    done.status = STATUS_DB_SUCCESS  # G1 drops it
+    spent = CrawlDatum("http://site3.test/show-0.html", execute_time=0)
+    spent.execute_count = cfg.max_execute_count + 1  # G2 drops it
+    urls = [f"http://site{s}.test/list-{j}.html"
+            for s in range(3) for j in range(2)]
+    blocks = [
+        datums_to_table([CrawlDatum(u, execute_time=0) for u in urls[:4]]),
+        datums_to_table([]),
+        datums_to_table([CrawlDatum(u, execute_time=0) for u in urls[4:]]
+                        + [CrawlDatum("http://nowhere.test/x.html",
+                                      execute_time=0), done, spent]),
+    ]
+    kw = dict(regex_rule=rule, config=cfg, execute_time_ms=777)
+    stage = ExecuteStage(store_handle=store.handle(), **kw)
+
+    def expected(block, generate):
+        if generate:
+            block = filter_block(block, cfg.max_execute_count)
+        out = stage(block) if len(block) else None
+        if out is None:
+            return [], [], {"n_fetch": 0, "n_link": 0, "ok": 0, "fail": 0}
+        fmask = pc.equal(out["seg"], "fetch").to_pylist()
+        rows = out.drop_columns(["seg"]).to_pylist()
+        fetch = [r for r, f in zip(rows, fmask) if f]
+        link = [r for r, f in zip(rows, fmask) if not f]
+        ok = sum(r["status"] == STATUS_DB_SUCCESS for r in fetch)
+        return fetch, link, {"n_fetch": len(fetch), "n_link": len(link),
+                             "ok": ok, "fail": len(fetch) - ok}
+
+    refs = [ray.put(b) for b in blocks]
+    for generate in (True, False):
+        res = run_execute(refs, store.handle(), generate=generate,
+                          **kw).materialize()
+        assert len(res.fetch_refs) == len(blocks) == len(res.link_refs)
+        stats = res.stats()
+        for b, block in enumerate(blocks):
+            fetch, link, tally = expected(block, generate)
+            assert ray.get(res.fetch_refs[b]).to_pylist() == fetch
+            assert ray.get(res.link_refs[b][0]).to_pylist() == link
+            assert stats[b] == tally
+        assert res.count() == sum(s["n_fetch"] + s["n_link"] for s in stats)
+        assert stats[2]["n_fetch"] == (3 if generate else 5)
+        assert stats[2]["fail"] >= 1  # the missing page
+
+    shards = 4
+    res = run_execute(refs, store.handle(), generate=True,
+                      seen_shards=shards, **kw).materialize()
+    for b, block in enumerate(blocks):
+        _, link, _ = expected(block, True)
+        slices = res.link_refs[b]
+        assert len(slices) == shards
+        got = []
+        for s, ref in enumerate(slices):
+            t = ray.get(ref)
+            if t is None or len(t) == 0:
+                continue
+            keys = t["key"].to_pylist()
+            h = hash64_batch(keys)
+            assert (h % np.uint64(shards) == s).all()
+            assert t[HASH_COLUMN].to_pylist() == h.tolist()
+            got += t.drop_columns([HASH_COLUMN]).to_pylist()
+        key = lambda r: (r["key"], r["url"])  # noqa: E731
+        assert sorted(got, key=key) == sorted(link, key=key)
+        assert all(r["status"] == STATUS_DB_UNEXECUTED for r in got)
+
+
+def test_depth_metrics_stage_seconds(ray_session, pages, tmp_path):
+    """Every depth that fetched times its fetch wave, and the merge and
+    execute waves fit inside the depth's wall time; both reach the
+    checkpoint manifest."""
+    cfg = CrawlerConfig(merge_num_buckets=4)
+    root = str(tmp_path / "m")
+    c = BreadthCrawler(root, True, pages, config=cfg, deterministic_time=True)
+    c.add_seed(SPEC.seeds())
+    c.add_regex(REGEX)
+    res = c.start(10)
+    assert any(m.merge_s > 0 for m in res.depths)
+    for m in res.depths:
+        if m.generated:
+            assert m.execute_s > 0, m
+        else:
+            assert m.execute_s == 0, m
+        assert m.merge_s + m.execute_s <= m.seconds, m
+        man = CheckpointStore(root).read_manifest(m.depth)
+        assert man["merge_s"] == m.merge_s
+        assert man["execute_s"] == m.execute_s
 
 
 def test_resume_equivalence(ray_session, pages, tmp_path):

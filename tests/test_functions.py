@@ -3125,6 +3125,36 @@ def test_invindex_hardening(ray_session, tmp_path):
         search_bm25(root, ("w0",), num_shards=4)
 
 
+def test_search_bm25_rejects_uncovered_candidates(ray_session, tmp_path):
+    """A candidate doc missing from the doclen sidecar must raise, naming
+    the doc id, instead of scoring NaN."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from webcollector_ray.sources.invindex import (
+        _doc_shard_of,
+        build_doclen_sidecar,
+        build_inverted_index,
+        search_bm25,
+    )
+
+    rows = [(i, f"w{i % 3} w{(i + 1) % 3}") for i in range(12)]
+    ds = rd.from_items([{"doc_id": i, "text": t} for i, t in rows])
+    root = str(tmp_path / "idx")
+    build_inverted_index(ds, root, num_shards=4)
+    build_doclen_sidecar(ds, root, num_shards=4)
+    assert len(search_bm25(root, ("w0",), num_shards=4)) > 0
+    victim = 3  # its text holds w0
+    shard = int(_doc_shard_of(np.array([victim], np.int64), 4)[0])
+    path = os.path.join(root, f"doclen={shard:04d}.parquet")
+    t = pq.read_table(path)
+    pq.write_table(t.filter(pc.not_equal(t["doc_id"], victim)), path)
+    with pytest.raises(ValueError, match=rf"\b{victim}\b"):
+        search_bm25(root, ("w0",), num_shards=4)
+
+
 def test_invindex_custom_id_col(ray_session, tmp_path):
     from webcollector_ray.sources.invindex import (
         build_doclen_sidecar,

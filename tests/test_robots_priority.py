@@ -1,5 +1,6 @@
 """north_rule frontier-service extensions: robots.txt policy cache,
-priority-queue generate order, politeness actor path, hot-host salt."""
+priority-queue generate order, politeness routing (one fetch task per
+routed block), hot-host salt."""
 
 import pyarrow.parquet as pq
 import pytest
@@ -156,12 +157,12 @@ def test_priority_queue_generate_order(ray_session):
     assert df.loc["http://site2.test/list-0.html", "status"] == 0
 
 
-# ------------------------------------------- politeness actor-pool path
+# ------------------------------ politeness path: one task per routed block
 
 
 def test_politeness_budget_same_results(ray_session):
-    """politeness routing + per-host budget (actor path) must not change
-    the crawl's final state, only its pacing."""
+    """politeness routing + per-host budget (one task per routed block)
+    must not change the crawl's final state, only its pacing."""
     spec = SynthSpec(num_sites=2)
     base = CrawlerConfig(fetch_concurrency=2, merge_num_buckets=4)
     polite = base.replace(politeness_budget_ms=1, host_salt_threshold=5)
@@ -181,9 +182,9 @@ def test_politeness_budget_same_results(ray_session):
 
 def test_politeness_host_single_block(ray_session):
     """The politeness invariant: after routing, every host's rows live
-    in exactly one block — Ray Data never splits a block across
-    map_batches tasks, so two fetch actors can never interleave one
-    host and the per-actor token bucket is globally serializing."""
+    in exactly one block — the fetch wave runs one task per routed
+    block, so two fetch tasks can never interleave one host and the
+    per-task token bucket is globally serializing."""
     import ray
     import ray.data as rd
 
@@ -219,8 +220,8 @@ def test_politeness_host_single_block(ray_session):
 def test_politeness_global_rate_wall_clock(ray_session):
     """Behavioral pin of the GLOBAL per-host rate: 16 same-host seeds
     under a 40 ms budget must take >= 15 * 40 ms of wall time within
-    the depth. If two actors ever split the host, each would hold its
-    own token bucket and the wall time would halve."""
+    the depth. If two fetch tasks ever split the host, each would hold
+    its own token bucket and the wall time would halve."""
     import time
 
     from webcollector_ray.config import CrawlerConfig
@@ -243,7 +244,7 @@ def test_politeness_global_rate_wall_clock(ray_session):
     res = c.start(1)
     elapsed = time.time() - t0
     assert res.depths[0].fetch_success == spec.shows_per_site
-    assert elapsed >= 0.6, f"host interleaved across actors? {elapsed:.2f}s"
+    assert elapsed >= 0.6, f"host interleaved across fetch tasks? {elapsed:.2f}s"
 
 
 def test_fs_output_path():

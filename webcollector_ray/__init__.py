@@ -8,7 +8,7 @@ A from-scratch rebuild of the semantics of CrawlScript/WebCollector
 - each crawl depth is a pure Dataset -> Dataset round
   (merge -> generate -> fetch -> parse -> segment write;
   reference: crawler/Crawler.java, fetcher/Fetcher.java),
-- fetch is a stateful actor-pool `map_batches` stage doing url lookups
+- fetch is one raw Ray task per frontier block doing url lookups
   against a Common-Crawl-style pages table (reference fetch:
   plugin/net/OkHttpRequester.java),
 - the per-depth merge (fetch overwrites crawldb, link inserts if absent;

@@ -99,6 +99,8 @@ def cmd_crawl(args) -> None:
                 "crawldb": m.crawldb_size,
                 "merge_buckets": m.merge_buckets,
                 "seen_size": m.seen_size,
+                "merge_s": round(m.merge_s, 3),
+                "execute_s": round(m.execute_s, 3),
                 "seconds": round(m.seconds, 3),
             }
             for m in res.depths

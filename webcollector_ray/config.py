@@ -2,8 +2,8 @@
 
 Mirrors the reference's typed key-value Configuration with its defaults
 (reference: conf/Configuration.java:194-214 and util/Config.java:27-42),
-re-expressed as a frozen dataclass that is shipped into Ray actor
-constructors / UDF closures (reference propagation:
+re-expressed as a frozen dataclass that is shipped into Ray tasks
+and UDF closures (reference propagation:
 util/ConfigurationUtils.java:14-22).
 
 Extra fields beyond the reference (marked "north_rule") configure the
@@ -39,7 +39,10 @@ class CrawlerConfig:
     default_http_code: int = 200       # code assumed for rows without a code column
 
     # --- Ray execution knobs (this engine, not the reference) ---
-    fetch_concurrency: int = 8         # actor-pool size for the fetch stage
+    fetch_concurrency: int = 8         # routing width of polite and bucketed-
+                                       # store fetch lists: ~2x this many
+                                       # blocks (at least 4), one fetch task
+                                       # each
     fetch_batch_size: int = 256        # frontier rows per fetch batch
     merge_num_buckets: int = 0         # hash buckets for every merge exchange
                                        # (A1): 0 sizes each merge to its input

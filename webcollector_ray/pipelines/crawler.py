@@ -5,12 +5,16 @@ setup -> inject seeds -> for each depth: merge previous segments into
 crawldb, generate (filters + topN), fetch+visit every generated datum,
 write fetch/link segments; break early when totalGenerate == 0.
 
-Ray mapping: every table is a ray.data.Dataset; each depth is
+Ray mapping: every table is a ray.data.Dataset over object refs; each
+depth is two raw task waves, plus the seen-filter probe when it is on:
 
-    crawldb = merge(crawldb, fetch_seg, link_seg)        # ONE shuffle
-    generated = generate(crawldb)                        # streamed filter
-    exec_out = generated.map_batches(ExecuteStage, ...)  # actor pool
-    fetch_seg, link_seg = split(exec_out)                # streamed filter
+    crawldb = merge(crawldb, fetch_seg, link_seg)   # ONE shuffle
+    fetch_seg, link_seg = run_execute(crawldb)      # one task per bucket:
+                                                    # generate filter +
+                                                    # fetch + visit + split
+
+topN, priority, politeness routing and bucketed stores run generate
+(and the routing exchange) before the fetch wave instead.
 
 with the merged crawldb and the segments either checkpointed to
 Parquet (`crawl_path` mode == reference BreadthCrawler with RocksDB,
@@ -45,7 +49,6 @@ from ..config import CrawlerConfig
 from ..dispatch import Visitor
 from ..model import (
     FRONTIER_SCHEMA,
-    STATUS_DB_SUCCESS,
     CrawlDatum,
     datums_to_table,
 )
@@ -61,7 +64,7 @@ from ..stages.merge import (
     size_buckets,
 )
 from ..state.frontier import CheckpointStore
-from ..state.seen import ShardedSeenFilter, split_by_shard
+from ..state.seen import ShardedSeenFilter
 
 
 @dataclass
@@ -76,6 +79,9 @@ class DepthMetrics:
                             # depth's crawldb; 0 when none ran
     seen_size: int = 0      # seen-filter inserts after this depth;
                             # 0 when the filter is off
+    merge_s: float = 0.0    # this depth's merge wave until its count
+                            # refs return; 0 when no merge ran in it
+    execute_s: float = 0.0  # the fetch wave until its tallies return
     seconds: float = 0.0
 
 
@@ -95,44 +101,6 @@ class CrawlResult:
 
 
 _count_generate_eligible = ray.remote(count_eligible)
-
-
-@ray.remote
-def _split_exec_block(seen_shards: int, table: pa.Table):
-    """One executed block -> (fetch rows, tallies, link rows): the link
-    rows come back as one table, or with a seen filter as seen_shards
-    split_by_shard slices, so 2 + max(1, seen_shards) returns. A raw
-    task wave over the materialized blocks replaces three separate
-    Dataset executions per depth (two filter passes + a status-tally
-    pass) — each execution costs ~0.3-0.5 s of fixed streaming-executor
-    latency, which dominated small/medium depths."""
-    import pyarrow.compute as pc
-
-    if "seg" not in table.column_names:  # schema-less empty block
-        empty = FRONTIER_SCHEMA.empty_table()
-        fetch = link = empty
-        stats = {"n_fetch": 0, "n_link": 0, "ok": 0, "fail": 0}
-    else:
-        fmask = pc.equal(table["seg"], "fetch")
-        fetch = table.filter(fmask).drop_columns(["seg"])
-        link = table.filter(pc.invert(fmask)).drop_columns(["seg"])
-        ok = (
-            pc.sum(
-                pc.cast(
-                    pc.equal(fetch["status"], STATUS_DB_SUCCESS), pa.int64()
-                )
-            ).as_py()
-            or 0
-        )
-        stats = {
-            "n_fetch": len(fetch),
-            "n_link": len(link),
-            "ok": int(ok),
-            "fail": len(fetch) - int(ok),
-        }
-    if seen_shards:
-        return (fetch, stats, *split_by_shard(link, seen_shards))
-    return fetch, stats, link
 
 
 class Crawler:
@@ -222,17 +190,17 @@ class Crawler:
     def _route_by_host(self, generated):
         """Route the fetch list so each host's rows land in EXACTLY ONE
         output block: routes are hash-bucketed and each bucket becomes
-        one block via groupby(bucket).map_groups. Ray Data never splits
-        a block across map_batches tasks, so all of a host's fetches run
-        inside one ExecuteStage instance and its per-host token bucket
-        is globally serializing — two actors can never interleave one
-        host (the invariant the per-actor budget state depends on;
-        pinned by test_politeness_host_single_block).
+        one block of the exchange. run_execute runs one task per block,
+        so all of a host's fetches run inside one ExecuteStage instance
+        and its per-host token bucket is globally serializing — two
+        tasks can never interleave one host (the invariant the per-stage
+        budget state depends on; pinned by
+        test_politeness_host_single_block).
 
         Hot-host skew handling: hosts with more than
         `host_salt_threshold` rows this depth get a salt suffix
         (url-hash modulo ceil(n/threshold)) so one mega-host spreads
-        over several buckets/actors instead of serializing the whole
+        over several buckets/tasks instead of serializing the whole
         depth — deliberately trading per-host rate precision (the
         budget then applies per salt shard) for wall-clock, documented
         in SURVEY.md §4 'skew / hot hosts'."""
@@ -362,11 +330,8 @@ class Crawler:
                 FRONTIER_SCHEMA.names
             )
 
-        # the raw-task exchange replaces a per-depth sort shuffle; its
-        # output is materialized refs, so the stateful ACTOR pool that
-        # follows (which can reserve every cluster CPU) never starves a
-        # still-lazy upstream and the depth cannot deadlock. Frontier
-        # rows are compact (no html), so this is cheap.
+        # the raw-task exchange replaces a per-depth sort shuffle;
+        # frontier rows are compact (no html), so this is cheap
         empty = FRONTIER_SCHEMA.empty_table()
         return exchange_reduce(
             generated.map_batches(add_route, batch_format="pyarrow"),
@@ -481,7 +446,7 @@ class Crawler:
                 )
 
         for i in range(start_depth, start_depth + depth):
-            dt0 = time.time()
+            dt0 = time.perf_counter()
             m = DepthMetrics(depth=i)
 
             # 1. merge previous segments (Fetcher.fetchAll step a):
@@ -498,15 +463,18 @@ class Crawler:
                 # count (default G1/G2 predicate; user filters/topN can
                 # only DROP among those rows) — no extra task wave
                 m.merge_buckets = buckets(merge_rows)
+                t_merge = time.perf_counter()
                 table_refs, count_refs, elig_refs = dedupe_by_key_refs(
                     parts, m.merge_buckets,
                     eligible_max_count=cfg.max_execute_count,
                 )
-                crawldb = rd.from_arrow_refs(table_refs)
+                crawldb, crawldb_refs = rd.from_arrow_refs(table_refs), table_refs
                 m.crawldb_size = sum(ray.get(count_refs))
                 eligible = sum(ray.get(elig_refs))
+                m.merge_s = time.perf_counter() - t_merge
             else:
                 crawldb = crawldb.materialize()
+                crawldb_refs = crawldb.to_arrow_refs()
                 m.crawldb_size = crawldb.count()
                 if not resumed:  # the inject merge built it
                     m.merge_buckets = buckets(merge_rows)
@@ -517,7 +485,7 @@ class Crawler:
                             _count_generate_eligible.remote(
                                 r, cfg.max_execute_count
                             )
-                            for r in crawldb.to_arrow_refs()
+                            for r in crawldb_refs
                         ]
                     )
                 )
@@ -527,61 +495,67 @@ class Crawler:
                     # swap refs for the parquet copy so the object
                     # store can evict frontier state (100TB mode)
                     crawldb = ckpt.read_dataset(i, "crawldb")
+                    crawldb_refs = crawldb.to_arrow_refs()
 
             if eligible == 0:
                 if self.seen is not None:
                     m.seen_size = self.seen.approx_size()
-                m.seconds = time.time() - dt0
+                m.seconds = time.perf_counter() - dt0
                 result.depths.append(m)
                 if ckpt is not None:
                     ckpt.write_manifest(i, dataclasses.asdict(m))
                 fetch_seg = link_seg = None
                 break
 
-            # 2. generate (G1-G4 + topN) + routing: politeness wins
-            # (hosts), else store-bucket locality for bucketed stores
-            generated = generate(crawldb, cfg, self.generator_filter)
-            if cfg.politeness_budget_ms > 0:
-                generated = self._route_by_host(generated)
-            elif store_handle.get("kind") == "bucketed":
-                generated = self._route_by_store_bucket(
-                    generated, store_handle["num_buckets"]
-                )
+            # 2. generate: on the common path each fetch task filters
+            # its own crawldb bucket (G1/G2/G4); topN and priority need
+            # a global step and routing a wide one, so those run
+            # generate here and hand the fetch wave filtered blocks
+            shards = self.seen.num_shards if self.seen is not None else 0
+            polite = cfg.politeness_budget_ms > 0
+            bucketed = store_handle.get("kind") == "bucketed"
+            in_task = not (cfg.topn > 0 or cfg.priority_meta_key
+                           or polite or bucketed)
+            if in_task:
+                blocks = crawldb_refs
+            else:
+                generated = generate(crawldb, cfg, self.generator_filter)
+                if polite:  # politeness wins (hosts) over store locality
+                    generated = self._route_by_host(generated)
+                elif bucketed:
+                    generated = self._route_by_store_bucket(
+                        generated, store_handle["num_buckets"]
+                    )
+                blocks = generated.to_arrow_refs()
 
-            # 3. execute: fused generate-filter + fetch + visit — the
-            # depth's ONE Dataset execution
+            # 3. execute: one raw task per block runs fetch + visit and
+            # splits its output into fetch rows, tallies (A3) and link
+            # rows — with the seen filter already split by shard, so ONE
+            # probe task per shard group then drops the probably-seen
+            # rows (per-batch synchronous probes serialized the whole
+            # stage: 4.7x slower than no filter at 300k pages)
+            t_exec = time.perf_counter()
             exec_out = run_execute(
-                generated,
+                blocks,
                 store_handle,
                 config=cfg,
-                repartition_input=False,
                 execute_time_ms=(1_000_000 + i) if self.deterministic_time else None,
+                generate=in_task,
+                generator_filter=self.generator_filter,
+                seen_shards=shards,
                 visitor=self.visitor,
                 executor=self.executor,
                 auto_parse=self.auto_parse,
                 regex_rule=self.regex_rule,
                 next_filter=self.next_filter,
             ).materialize()
-
-            # 4. split + status tallies (A3) in one raw-task wave; with
-            # the seen filter each block's links also come back split by
-            # shard, then ONE probe task per shard group drops the
-            # probably-seen rows (per-batch synchronous probes serialized
-            # the whole stage: 4.7x slower than no filter at 300k pages)
-            shards = self.seen.num_shards if self.seen is not None else 0
-            frefs, lrefs, srefs = [], [], []
-            for bref in exec_out.to_arrow_refs():
-                f_r, s_r, *l_r = _split_exec_block.options(
-                    num_returns=2 + max(1, shards)
-                ).remote(shards, bref)
-                frefs.append(f_r)
-                srefs.append(s_r)
-                lrefs.append(l_r)
-            stats = ray.get(srefs)
+            stats = exec_out.stats()
+            m.execute_s = time.perf_counter() - t_exec
             m.generated = sum(s["n_fetch"] for s in stats)
             m.links = sum(s["n_link"] for s in stats)
             m.fetch_success = sum(s["ok"] for s in stats)
             m.fetch_failed = sum(s["fail"] for s in stats)
+            frefs, lrefs = exec_out.fetch_refs, exec_out.link_refs
             fetch_seg = rd.from_arrow_refs(frefs) if frefs else None
             link_seg = None
             if self.seen is not None and lrefs:
@@ -605,7 +579,7 @@ class Crawler:
                         link_seg = ckpt.read_dataset(i, "link")
 
             merge_rows = m.crawldb_size + m.generated + m.links
-            m.seconds = time.time() - dt0
+            m.seconds = time.perf_counter() - dt0
             result.depths.append(m)
             if ckpt is not None:
                 ckpt.write_manifest(i, dataclasses.asdict(m))

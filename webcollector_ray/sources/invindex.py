@@ -358,10 +358,18 @@ def search_bm25(
             {id_col: pd.array([], dtype="int64"),
              "score": pd.array([], dtype="float64")}
         )
-    dl = (
-        read_doclens(root, cand, num_shards=num_shards, id_col=id_col)
-        .reindex(cand).to_numpy(np.float64)
-    )
+    doclens = read_doclens(root, cand, num_shards=num_shards, id_col=id_col)
+    missing = np.setdiff1d(cand, doclens.index.to_numpy(np.int64))
+    if len(missing):
+        # a candidate without a doc length would score NaN, silently
+        shown = ", ".join(str(x) for x in missing[:20])
+        more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
+        raise ValueError(
+            f"{root}: the doclen sidecar does not cover candidate "
+            f"{id_col}s {shown}{more} — rebuild it with "
+            "build_doclen_sidecar"
+        )
+    dl = doclens.reindex(cand).to_numpy(np.float64)
     dlt = k1 * ((1.0 - b) + b * (dl / avgdl))
     k1p1 = k1 + 1.0
     s = np.zeros(len(cand), dtype=np.float64)

@@ -7,8 +7,8 @@ input_hint) and fetch is the one true join of the engine: frontier × pages
 on `url` (SURVEY.md §2.6 J3). Two strategies, both hash-partitioned by
 canonicalized-url hash:
 
-- BroadcastPageStore: `ray.put` the whole table once, every fetch actor
-  reads the object-store copy zero-copy in `__init__`. Right when the
+- BroadcastPageStore: `ray.put` the whole table once, every fetch
+  worker reads the object-store copy zero-copy in `__init__`. Right when the
   page table fits comfortably in the object store (tests, small crawls,
   dimension-table-sized stores). NOT re-shipped per batch.
 

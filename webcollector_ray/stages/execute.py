@@ -1,20 +1,24 @@
-"""Execute — the fused fetch + visit actor-pool stage.
+"""Execute — the fused fetch + visit stage, one raw Ray task per block.
 
 The reference's per-record contract is Executor.execute(datum, next)
 = fetch + dispatch-visit + collect next datums, with failure of either
 half marking the record FAILED (fetcher/Executor.java:26-28,
 fetcher/Fetcher.java:244-274, crawler/AutoParseCrawler.java:86-91).
-Fusing fetch and parse into ONE map_batches stage keeps the html bytes
-actor-local: only compact frontier rows cross the object store, never
-page bodies (SURVEY.md §7.4 "avoid carrying html past the parse
-stage").
+Fusing fetch and parse into ONE task keeps the html bytes task-local:
+only compact frontier rows cross the object store, never page bodies
+(SURVEY.md §7.4 "avoid carrying html past the parse stage").
 
-Stateful actor pool (ST1/ST3): the page-store reader and the visitor
-dispatch table are built once per actor in __init__ and reused across
-batches. Politeness (F4): the reference sleeps EXECUTE_INTERVAL per
-worker after every record (Fetcher.java:275-281) — replicated — plus
-the north_rule per-host token bucket (politeness_budget_ms) which the
-reference lacks.
+run_execute launches one task per frontier block, so every block is
+fetched on its own CPU (a Dataset map_batches bundles small blocks up
+to batch_size rows into one task) and a depth starts no streaming
+executor. Each task also runs the generate filter on a raw crawldb
+bucket and splits its output into fetch rows, tallies and link rows.
+The page-store reader and the visitor dispatch table are built once
+per worker process per call (_PROC_STAGE_CACHE) and reused across
+tasks and batches. Politeness (F4): the reference sleeps
+EXECUTE_INTERVAL per worker after every record (Fetcher.java:275-281)
+— replicated — plus the north_rule per-host token bucket
+(politeness_budget_ms) which the reference lacks.
 
 Fetch semantics (plugin/net/OkHttpRequester.java):
 - url missing from the page store == connection error -> FAILED
@@ -32,9 +36,14 @@ non-empty (Fetcher.java:267-274).
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+import uuid
+from typing import Callable, List, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
+
+import ray
+from ray.data.block import BlockAccessor
 
 from ..config import CrawlerConfig
 from ..dispatch import Visitor, VisitorMethodDispatcher
@@ -50,7 +59,9 @@ from ..model import (
 from ..page import Page
 from ..regex_rule import RegexRule
 from ..sources.pagestore import PageStoreReader
+from ..state.seen import split_by_shard
 from ..urls import host_of
+from .generate import filter_block
 
 SUCCESS_CODES = frozenset({200, 301, 302, 404})
 
@@ -64,8 +75,9 @@ class FetchError(Exception):
 
 
 class ExecuteStage:
-    """Callable class for ds.map_batches(ExecuteStage, fn_constructor_kwargs=...,
-    concurrency=N)."""
+    """Fetch + visit over one frontier batch: pa.Table -> seg-tagged
+    EXECUTE_OUT_SCHEMA rows. run_execute's tasks call it per
+    fetch_batch_size slice."""
 
     def __init__(
         self,
@@ -132,12 +144,12 @@ class ExecuteStage:
         return Page(datum, content_type=row["content_type"], content=content)
 
     def _politeness(self, url: str) -> None:
-        # Scope note: the token-bucket state lives for one depth (actor
-        # pools are recreated per depth), so the budget is enforced
+        # Scope note: the token-bucket state lives for one depth (each
+        # run_execute call builds new stages), so the budget is enforced
         # WITHIN a depth; between depths the merge/generate exchange
         # inserts a gap that in practice exceeds any realistic budget.
         # Within a depth the invariant is global: host-coherent routing
-        # puts all of a host's rows in one block = one actor
+        # puts all of a host's rows in one block = one task = one stage
         # (crawler._route_by_host; test_politeness_host_single_block).
         budget = self.config.politeness_budget_ms
         if budget > 0:
@@ -340,74 +352,121 @@ class ExecuteStage:
         )
 
 
-# Per-worker-process stage cache for the stateless-task path: Ray
-# reuses worker processes across tasks and datasets, so the page-store
-# index / dispatch table are built once per (process, depth) instead of
-# once per task — and, unlike an actor pool, there is no per-depth pool
-# spin-up (new processes + imports) at all.
+# Per-worker-process stage cache: Ray reuses worker processes across
+# tasks, so the page-store index / dispatch table are built once per
+# (process, run_execute call) instead of once per task or per batch.
 _PROC_STAGE_CACHE: dict = {}
 
 
+def _split_output(table: pa.Table, seen_shards: int):
+    """Executed rows -> (fetch rows, tallies, link rows): the links as
+    one table, or with a seen filter as seen_shards split_by_shard
+    slices."""
+    fmask = pc.equal(table["seg"], "fetch")
+    fetch = table.filter(fmask).drop_columns(["seg"])
+    link = table.filter(pc.invert(fmask)).drop_columns(["seg"])
+    ok = int(
+        pc.sum(
+            pc.cast(pc.equal(fetch["status"], STATUS_DB_SUCCESS), pa.int64())
+        ).as_py()
+        or 0
+    )
+    stats = {
+        "n_fetch": len(fetch),
+        "n_link": len(link),
+        "ok": ok,
+        "fail": len(fetch) - ok,
+    }
+    if seen_shards:
+        return (fetch, stats, *split_by_shard(link, seen_shards))
+    return fetch, stats, link
+
+
+@ray.remote(num_cpus=1)
+def _execute_block(box: list, cache_key: str, generate: Optional[tuple],
+                   seen_shards: int, block):
+    """One frontier block -> 2 + max(1, seen_shards) returns: fetch
+    rows, {n_fetch, n_link, ok, fail}, link rows (or their seen-shard
+    slices). `box` holds the ray.put stage kwargs inside a list, so the
+    task only fetches them when its process has no cached stage for
+    this call; `generate` is (max_execute_count, generator_filter) when
+    the block is a raw crawldb bucket still to be filtered."""
+    stage = _PROC_STAGE_CACHE.get(cache_key)
+    if stage is None:
+        stage = ExecuteStage(**ray.get(box[0]))
+        _PROC_STAGE_CACHE.clear()  # one live stage per worker process
+        _PROC_STAGE_CACHE[cache_key] = stage
+    table = BlockAccessor.for_block(block).to_arrow()
+    if "key" not in table.column_names:  # schema-less empty block
+        table = FRONTIER_SCHEMA.empty_table()
+    if generate is not None:
+        table = filter_block(table, *generate)
+    step = max(1, stage.config.fetch_batch_size)
+    outs = [stage(table.slice(o, step)) for o in range(0, len(table), step)]
+    out = pa.concat_tables(outs) if outs else EXECUTE_OUT_SCHEMA.empty_table()
+    return _split_output(out, seen_shards)
+
+
+class ExecuteResult:
+    """The refs of one execute wave, one entry per input block in block
+    order: fetch table refs, tally refs and, per block, its link refs
+    (one table, or one slice per seen shard)."""
+
+    def __init__(self, fetch_refs: list, stat_refs: list, link_refs: list):
+        self.fetch_refs = fetch_refs
+        self.stat_refs = stat_refs
+        self.link_refs = link_refs
+
+    def materialize(self) -> "ExecuteResult":
+        """Wait for the whole wave; returns self."""
+        if self.stat_refs:
+            ray.wait(self.stat_refs, num_returns=len(self.stat_refs),
+                     fetch_local=False)
+        return self
+
+    def stats(self) -> List[dict]:
+        """Per-block {n_fetch, n_link, ok, fail} tallies."""
+        return ray.get(self.stat_refs)
+
+    def count(self) -> int:
+        """Fetch + link rows, before any seen-filter probe."""
+        return sum(s["n_fetch"] + s["n_link"] for s in self.stats())
+
+
 def run_execute(
-    generated,
+    blocks: list,
     store_handle: dict,
     *,
     config: CrawlerConfig,
     execute_time_ms: Optional[int] = None,
-    repartition_input: bool = True,
+    generate: bool = False,
+    generator_filter: Optional[Callable] = None,
+    seen_shards: int = 0,
     **stage_kwargs,
-):
-    """generated: Dataset of frontier rows -> Dataset of seg-tagged rows.
-
-    Stateless tasks by default; an actor pool only when the stage is
-    genuinely stateful (politeness budgets track per-host last-fetch
-    times across batches, F4/north_rule)."""
-    ctor = dict(
+) -> ExecuteResult:
+    """Frontier block refs -> ExecuteResult: ONE task per block, never
+    merged or split, each running ExecuteStage over its block in
+    fetch_batch_size slices and splitting the output into fetch rows,
+    tallies and link rows. With `generate` the blocks are raw crawldb
+    buckets and each task first applies generate.filter_block (G1/G2 +
+    `generator_filter`); the caller turns it off when generate already
+    ran (topN, priority, routed fetch lists). One block is one task, so
+    host-routed blocks keep every host inside one stage instance."""
+    box = [ray.put(dict(
         store_handle=store_handle,
         config=config,
         execute_time_ms=execute_time_ms,
         **stage_kwargs,
-    )
-    # task granularity == batch granularity: map_batches launches one
-    # task per INPUT BLOCK, so a coarse-blocked frontier (e.g. a single
-    # from_arrow block) under-parallelizes the fetch regardless of
-    # batch_size. Splitting to fetch_batch_size-row blocks makes every
-    # batch its own task. The crawler passes repartition_input=False —
-    # its frontier is already one hash-partitioned block per merge
-    # bucket, at least one per cluster CPU (merge.size_buckets), and
-    # the extra pass would cost more than it buys per depth.
-    if repartition_input:
-        generated = generated.repartition(
-            target_num_rows_per_block=config.fetch_batch_size
-        )
-    stateful = (
-        config.politeness_budget_ms > 0 or config.execute_interval_ms > 0
-    )
-    if stateful:
-        return generated.map_batches(
-            ExecuteStage,
-            fn_constructor_kwargs=ctor,
-            batch_format="pyarrow",
-            batch_size=config.fetch_batch_size,
-            concurrency=config.fetch_concurrency,
-            num_cpus=1,
-        )
-
-    import uuid
-
+    ))]
     cache_key = uuid.uuid4().hex
-
-    def fetch_parse(batch: pa.Table) -> pa.Table:
-        stage = _PROC_STAGE_CACHE.get(cache_key)
-        if stage is None:
-            stage = ExecuteStage(**ctor)
-            _PROC_STAGE_CACHE.clear()  # one live stage per worker process
-            _PROC_STAGE_CACHE[cache_key] = stage
-        return stage(batch)
-
-    return generated.map_batches(
-        fetch_parse,
-        batch_format="pyarrow",
-        batch_size=config.fetch_batch_size,
-        num_cpus=1,
-    )
+    gen = (config.max_execute_count, generator_filter) if generate else None
+    task = _execute_block.options(num_returns=2 + max(1, seen_shards))
+    fetch_refs, stat_refs, link_refs = [], [], []
+    for block in blocks:
+        f_ref, s_ref, *l_refs = task.remote(
+            box, cache_key, gen, seen_shards, block
+        )
+        fetch_refs.append(f_ref)
+        stat_refs.append(s_ref)
+        link_refs.append(l_refs)
+    return ExecuteResult(fetch_refs, stat_refs, link_refs)

@@ -13,7 +13,10 @@ Reference: crawldb/Generator.java:49-78 composing
   order for ASCII keys.
 
 G1/G2 are vectorized pyarrow predicates; G4 is row-wise only when a
-user filter is installed. TopN is the rare global-sort path.
+user filter is installed. TopN is the rare global-sort path. Without
+topN or priority, generate needs no global step: the crawler skips
+this module's Dataset plan and each fetch task applies filter_block
+to its own crawldb bucket (stages/execute.run_execute).
 """
 
 from __future__ import annotations
@@ -46,6 +49,29 @@ def count_eligible(table: Optional[pa.Table], max_count: int) -> int:
     return int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
 
 
+def filter_block(
+    batch: pa.Table,
+    max_count: int,
+    generator_filter: Optional[Callable[[CrawlDatum], Optional[CrawlDatum]]] = None,
+) -> pa.Table:
+    """G1/G2 + G4 on one block: the per-block half of generate, which
+    the fetch task runs itself on the crawler's common path (no topN,
+    no priority, no routing)."""
+    out = batch.filter(eligible_mask(batch, max_count))
+    if generator_filter is not None and len(out):
+        keep_rows = []
+        for i in range(len(out)):
+            d = CrawlDatum.from_row({c: out[c][i].as_py() for c in out.column_names})
+            r = generator_filter(d)
+            if r is not None:
+                keep_rows.append(r.to_row())
+        if not keep_rows:
+            return out.schema.empty_table()
+        cols = {n: [r[n] for r in keep_rows] for n in out.column_names}
+        return pa.table(cols, schema=out.schema)
+    return out
+
+
 def generate(
     frontier,
     config: CrawlerConfig,
@@ -55,19 +81,7 @@ def generate(
     max_count = config.max_execute_count
 
     def gfilter(batch: pa.Table) -> pa.Table:
-        out = batch.filter(eligible_mask(batch, max_count))
-        if generator_filter is not None and len(out):
-            keep_rows = []
-            for i in range(len(out)):
-                d = CrawlDatum.from_row({c: out[c][i].as_py() for c in out.column_names})
-                r = generator_filter(d)
-                if r is not None:
-                    keep_rows.append(r.to_row())
-            if not keep_rows:
-                return out.schema.empty_table()
-            cols = {n: [r[n] for r in keep_rows] for n in out.column_names}
-            return pa.table(cols, schema=out.schema)
-        return out
+        return filter_block(batch, max_count, generator_filter)
 
     ds = frontier.map_batches(gfilter, batch_format="pyarrow")
     if config.priority_meta_key:

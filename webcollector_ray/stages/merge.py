@@ -17,7 +17,8 @@ overwrite, non-force insert-if-absent; crawldb/DBManager.java:49-86).
 Physical plan: a DIRECT two-round hash shuffle built from raw Ray
 tasks (the one place the Dataset API is bypassed, SURVEY.md §7.0):
 
-    split: one task per group of input blocks -> `num_buckets`
+    split: one task per group of input blocks (as many groups as an
+           auto-sized exchange has buckets) -> `num_buckets`
            sub-tables (num_returns=num_buckets, so each reduce fetches
            only its own partition slices); the slicing is the engine's
            one split kernel, functions/joins.bucket_slices, launched
@@ -148,7 +149,6 @@ def _reduce_bucket(eligible_max_count, *parts):
 def dedupe_by_key_refs(
     parts: List[Tuple["ray.data.Dataset", int]],  # noqa: F821
     num_buckets: int = 0,
-    max_split_tasks: int = 64,
     eligible_max_count: int = 2**62,
 ):
     """The raw exchange: -> (bucket table refs, bucket row-count refs,
@@ -167,11 +167,15 @@ def dedupe_by_key_refs(
                 rows += meta.num_rows or 0
     if not pairs:
         raise ValueError("no blocks to merge")
-    num_buckets = size_buckets(num_buckets, rows)
-    # grouped like joins.fan_out_grouped (the driver holds
-    # O(max_split_tasks * num_buckets) refs); each group's precedence
-    # list keeps this loop here
-    ngroups = max(1, min(len(pairs), max_split_tasks))
+    # the split wave is sized to the data like the reduce: as many
+    # tasks as an auto-sized exchange over these rows has buckets, so
+    # a depth's many small fetch and link blocks share split tasks
+    # instead of paying one task each. Grouped like
+    # joins.fan_out_grouped; each group's precedence list keeps this
+    # loop here
+    cpus = cluster_cpus()
+    ngroups = min(len(pairs), size_buckets(0, rows, cpus))
+    num_buckets = size_buckets(num_buckets, rows, cpus)
     split_refs = []
     for g in range(ngroups):
         group = pairs[g::ngroups]

@@ -2,7 +2,7 @@
 
 The reference has NO robots support (WebCollector fetches
 unconditionally; crawler/Crawler.java has no robots path) — this is a
-north_rule extension: each fetch actor/worker holds a per-host robots
+north_rule extension: each fetch worker process holds a per-host robots
 policy cache (ST1-style state, built lazily from the page store) and
 consults it before every fetch.
 
@@ -103,7 +103,7 @@ ALLOW_ALL = RobotsPolicy([])
 
 
 # process-lifetime policy store: Ray worker processes outlive the
-# per-depth actor pools, so robots.txt is fetched once per (scheme,
+# per-depth fetch waves, so robots.txt is fetched once per (scheme,
 # host, user-agent) per WORKER, not once per depth (policies are
 # assumed stable for the duration of a crawl)
 _PROC_POLICY_CACHE: dict = {}
