@@ -394,14 +394,26 @@ def _q_docs_inverted_index(sf_dir: str):
 _SEARCH_TOP_K = 25
 
 
-def _invindex_root(sf_dir: str, tag: str) -> str:
-    """Deterministic scratch root per (sf, query): reruns REBUILD in
-    place (build clears stale shards) instead of leaking a fresh
-    mkdtemp directory per invocation."""
-    import hashlib as _hl
+_INVINDEX_TMP: dict = {}  # pid -> this process's index scratch dir
 
-    h = _hl.md5(sf_dir.encode()).hexdigest()[:8]
-    return f"/tmp/wcray_invindex_{tag}_{h}"
+
+def _invindex_root(sf_dir: str, tag: str) -> str:
+    """Scratch root per (process, sf, query). Every process gets its own
+    temp dir, so concurrent runs never rebuild an index another one is
+    reading; reruns in one process REBUILD in place (build clears stale
+    shards). The dir is removed when the process exits, not when the
+    query returns: the index queries return lazy reads over it."""
+    import atexit
+    import os
+    import shutil
+    import tempfile
+
+    pid = os.getpid()  # a forked child must not share its parent's dir
+    if pid not in _INVINDEX_TMP:
+        _INVINDEX_TMP[pid] = tempfile.mkdtemp(prefix="wcray_invindex_")
+        atexit.register(shutil.rmtree, _INVINDEX_TMP[pid], True)
+    h = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
+    return os.path.join(_INVINDEX_TMP[pid], f"{tag}_{h}")
 
 
 def _q_docs_search_bm25(sf_dir: str):

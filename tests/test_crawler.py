@@ -305,7 +305,8 @@ def test_negative_merge_buckets_rejected(ray_session):
 
 def test_merge_sizes_from_block_metadata(ray_session):
     """Without a count, the exchange sizes itself from the row counts
-    in its inputs' block metadata: one output block per bucket."""
+    in its inputs' block metadata: one output block per bucket. Block
+    ref lists have no metadata, so they need the count."""
     import ray
     import ray.data as rd
 
@@ -316,6 +317,48 @@ def test_merge_sizes_from_block_metadata(ray_session):
     refs, counts, _ = dedupe_by_key_refs([(ds, 0)])
     assert len(refs) == size_buckets(0, 10) == 4
     assert sum(ray.get(counts)) == 10
+
+    # a ref list carries no metadata: the caller passes the row count,
+    # and the exchange comes out the same
+    blocks = [ray.put(t.slice(0, 4)), ray.put(t.slice(4))]
+    refs, counts, _ = dedupe_by_key_refs([(blocks, 0)], rows=10)
+    assert len(refs) == 4
+    assert sum(ray.get(counts)) == 10
+    with pytest.raises(ValueError, match="rows"):
+        dedupe_by_key_refs([(blocks, 0)])
+
+
+def test_common_path_holds_block_refs(ray_session, pages, monkeypatch):
+    """A common-path crawl passes block ref lists between its task
+    waves: the only Dataset it builds is the returned crawldb, and it
+    never unwraps one."""
+    import ray.data as rd
+
+    calls = {"from_arrow_refs": 0, "to_arrow_refs": 0,
+             "iter_internal_ref_bundles": 0}
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return orig(*a, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(rd, "from_arrow_refs")
+    counting(rd.Dataset, "to_arrow_refs")
+    counting(rd.Dataset, "iter_internal_ref_bundles")
+    c = RamCrawler(pages, config=CrawlerConfig(fetch_concurrency=2),
+                   deterministic_time=True)
+    c.add_seed(SPEC.seeds())
+    c.add_regex(REGEX)
+    res = c.start()
+    assert len(res.depths) > 2
+    assert calls == {"from_arrow_refs": 1, "to_arrow_refs": 0,
+                     "iter_internal_ref_bundles": 0}
+    monkeypatch.undo()
+    assert res.crawldb.count() == res.depths[-1].crawldb_size
 
 
 @pytest.mark.parametrize("cpus", [1, 3, 4, 32])
@@ -601,7 +644,8 @@ def test_checkpoint_store_round_trip(ray_session, tmp_path):
     """write_table/read_dataset keep what Dataset.write_parquet and
     read_parquet gave: the row count, no file for an empty block, and
     exactly the frontier schema back (no `depth` column from the
-    `depth=<k>` directory name)."""
+    `depth=<k>` directory name), for a Dataset and for a list of block
+    refs alike."""
     import ray
     import ray.data as rd
 
@@ -625,6 +669,14 @@ def test_checkpoint_store_round_trip(ray_session, tmp_path):
     )
     assert back.schema.equals(FRONTIER_SCHEMA, check_metadata=True)
     assert back.equals(pa.concat_tables([t1, t2]))
+
+    # the crawler hands over plain block ref lists
+    assert store.write_table([ray.put(t2), ray.put(empty)], 3, "fetch") == 3
+    assert os.listdir(store.table_dir(3, "fetch")) == ["part-00000.parquet"]
+    back = pa.concat_tables(
+        ray.get(list(store.read_dataset(3, "fetch").to_arrow_refs()))
+    )
+    assert back.equals(t2)
 
     ds = rd.from_arrow_refs([ray.put(empty), ray.put(empty)])
     assert store.write_table(ds, 3, "link") == 0

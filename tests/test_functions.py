@@ -3155,6 +3155,33 @@ def test_search_bm25_rejects_uncovered_candidates(ray_session, tmp_path):
         search_bm25(root, ("w0",), num_shards=4)
 
 
+def test_invindex_root_per_process(tmp_path):
+    """Each process builds its inverted indexes under its own scratch
+    root, and the root is gone once the process exits."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import os, __ray_entry__ as E\n"
+        "r = E._invindex_root('/data/sf0.001', 'bm25')\n"
+        "assert r == E._invindex_root('/data/sf0.001', 'bm25')\n"
+        "os.makedirs(r, exist_ok=True)\n"
+        "print(r)\n"
+    )
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    roots = [
+        subprocess.run([sys.executable, "-c", code], cwd=repo, env=env,
+                       check=True, capture_output=True, text=True
+                       ).stdout.strip()
+        for _ in range(2)
+    ]
+    assert roots[0] != roots[1]
+    assert all(r.startswith(str(tmp_path)) for r in roots)
+    assert not os.listdir(tmp_path)
+
+
 def test_invindex_custom_id_col(ray_session, tmp_path):
     from webcollector_ray.sources.invindex import (
         build_doclen_sidecar,

@@ -53,8 +53,8 @@ class CrawlerConfig:
     checkpoint_readback: bool = False  # re-read each depth's parquet instead
                                        # of keeping object-store refs: lets
                                        # the store evict frontier state at
-                                       # 100TB scale, at ~1 extra Dataset
-                                       # execution per table per depth
+                                       # 100TB scale, at one extra read
+                                       # task wave per table per depth
 
     # --- north_rule scale path ---
     seen_shards: int = 16              # seen-filter logical shard count

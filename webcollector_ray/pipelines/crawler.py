@@ -5,26 +5,32 @@ setup -> inject seeds -> for each depth: merge previous segments into
 crawldb, generate (filters + topN), fetch+visit every generated datum,
 write fetch/link segments; break early when totalGenerate == 0.
 
-Ray mapping: every table is a ray.data.Dataset over object refs; each
-depth is two raw task waves, plus the seen-filter probe when it is on:
+Ray mapping: the driver holds every table as a list of Arrow block
+refs, and each depth is two raw task waves over them, plus the
+seen-filter probe when it is on:
 
     crawldb = merge(crawldb, fetch_seg, link_seg)   # ONE shuffle
     fetch_seg, link_seg = run_execute(crawldb)      # one task per bucket:
                                                     # generate filter +
                                                     # fetch + visit + split
 
-topN, priority, politeness routing and bucketed stores run generate
-(and the routing exchange) before the fetch wave instead.
+Every depth's crawldb is one merge result: the inject merge, the depth's
+own merge, or on resume the checkpoint's tables merged at the first
+resumed depth. A Dataset is built only where an API needs one: the
+returned crawldb, checkpoint reads, and the generate path that topN,
+priority, politeness routing and bucketed stores run (with the routing
+exchange) before the fetch wave.
 
-with the merged crawldb and the segments either checkpointed to
+The merged crawldb and the segments are either checkpointed to
 Parquet (`crawl_path` mode == reference BreadthCrawler with RocksDB,
 plugin/rocks/BreadthCrawler.java:32-48) or pinned in the object store
 (`RamCrawler`, plugin/ram/RamCrawler.java:28-44).
 
 totalGenerate == number of fetch-segment rows (every generated datum
 writes exactly one fetch row, Fetcher.java:267), so the termination
-count is read from Parquet metadata / materialized block counts — no
-extra pass over the frontier.
+count is summed from the fetch wave's per-block tallies, and the
+frontier size from the merge's per-bucket counts — no extra pass over
+the frontier.
 
 Divergence note: on depth-exhaustion the reference leaves the last
 segments unmerged until a hypothetical next run's first merge; this
@@ -47,22 +53,18 @@ import ray.data as rd
 
 from ..config import CrawlerConfig
 from ..dispatch import Visitor
-from ..model import (
-    FRONTIER_SCHEMA,
-    CrawlDatum,
-    datums_to_table,
-)
+from ..model import FRONTIER_SCHEMA, CrawlDatum, datums_to_table
 from ..regex_rule import RegexRule
 from ..sources.pagestore import BroadcastPageStore, BucketedPageStore
 from ..stages.execute import run_execute
-from ..stages.generate import count_eligible, generate
+from ..stages.generate import generate
 from ..stages.merge import (
-    cluster_cpus,
-    dedupe_by_key,
     dedupe_by_key_refs,
     merge_segments,
+    segment_parts,
     size_buckets,
 )
+from ..stages.merge import dedupe_by_key  # noqa: F401  (perfbench/spans.py binds it)
 from ..state.frontier import CheckpointStore
 from ..state.seen import ShardedSeenFilter
 
@@ -76,7 +78,7 @@ class DepthMetrics:
     links: int = 0
     crawldb_size: int = 0
     merge_buckets: int = 0  # buckets of the merge that built this
-                            # depth's crawldb; 0 when none ran
+                            # depth's crawldb
     seen_size: int = 0      # seen-filter inserts after this depth;
                             # 0 when the filter is off
     merge_s: float = 0.0    # this depth's merge wave until its count
@@ -88,7 +90,8 @@ class DepthMetrics:
 @dataclass
 class CrawlResult:
     depths: List[DepthMetrics] = field(default_factory=list)
-    crawldb = None  # ray.data.Dataset of the final frontier
+    crawldb = None  # ray.data.Dataset of the final frontier, one
+                    # block per bucket of its last merge
     seconds: float = 0.0
 
     @property
@@ -98,9 +101,6 @@ class CrawlResult:
     @property
     def total_links(self) -> int:
         return sum(d.links for d in self.depths)
-
-
-_count_generate_eligible = ray.remote(count_eligible)
 
 
 class Crawler:
@@ -134,7 +134,6 @@ class Crawler:
         self._seeds: List[CrawlDatum] = []
         self._forced_seeds: List[CrawlDatum] = []
         self.seen: Optional[ShardedSeenFilter] = None
-        self._cpus: Optional[int] = None  # cluster CPUs, read per start()
 
     # --- seeds (crawler/Crawler.java:169-330 addSeed variants) ---
     def add_seed(self, seed, force: bool = False, type: Optional[str] = None):
@@ -168,15 +167,21 @@ class Crawler:
     # --- inject (crawldb/Injector.java; DBManager.inject :49-86):
     # forced seeds overwrite existing keys, plain seeds insert-if-absent.
     # Only a fresh crawl injects, so there is no crawldb to merge into.
-    def _inject(self, num_buckets: int):
+    def _inject(self):
+        """-> the inject merge: (table, count, eligible refs)."""
+        cfg = self.config
         seed_tbls = []
         if self._forced_seeds:
-            seed_tbls.append((rd.from_arrow(datums_to_table(self._dedupe_seeds(self._forced_seeds, last_wins=True))), 0))
+            seed_tbls.append(([ray.put(datums_to_table(self._dedupe_seeds(self._forced_seeds, last_wins=True)))], 0))
         if self._seeds:
-            seed_tbls.append((rd.from_arrow(datums_to_table(self._dedupe_seeds(self._seeds, last_wins=False))), 2))
+            seed_tbls.append(([ray.put(datums_to_table(self._dedupe_seeds(self._seeds, last_wins=False)))], 2))
         if not seed_tbls:
             raise ValueError("Please add at least one seed")  # Crawler.java:106-109
-        return dedupe_by_key(seed_tbls, num_buckets)
+        return dedupe_by_key_refs(
+            seed_tbls, cfg.merge_num_buckets,
+            eligible_max_count=cfg.max_execute_count,
+            rows=len(self._seeds) + len(self._forced_seeds),
+        )
 
     @staticmethod
     def _dedupe_seeds(datums: List[CrawlDatum], last_wins: bool) -> List[CrawlDatum]:
@@ -211,7 +216,6 @@ class Crawler:
         threshold = self.config.host_salt_threshold
 
         from ..functions.joins import exchange_reduce
-        from ..model import FRONTIER_SCHEMA
         from ..urls import hosts_of_array, url_hash64
 
         hot: dict = {}
@@ -230,7 +234,7 @@ class Crawler:
 
             # sized like a merge of the fetch list (its row count bounds
             # the per-block host counts the census exchanges)
-            census_buckets = size_buckets(0, n_generated, self._cpus)
+            census_buckets = size_buckets(0, n_generated)
 
             def census_local(batch: pa.Table) -> pa.Table:
                 hosts = hosts_of_array(batch["url"])
@@ -400,34 +404,42 @@ class Crawler:
         ckpt: Optional[CheckpointStore] = (
             CheckpointStore(self.crawl_path) if self.crawl_path else None
         )
-        # every merge is sized from the rows the driver already knows
-        # (size_buckets): seeds at inject, then the previous depth's
-        # crawldb_size + generated + links
-        self._cpus = cluster_cpus()
 
-        def buckets(rows: int) -> int:
-            return size_buckets(cfg.merge_num_buckets, rows, self._cpus)
+        def checkpoint(table: list, i: int, name: str) -> list:
+            """Write a table; with readback, hold the parquet copy's refs
+            instead so the object store can evict frontier state (100TB
+            mode)."""
+            ckpt.write_table(table, i, name)
+            if cfg.checkpoint_readback:
+                return ckpt.read_dataset(i, name).to_arrow_refs()
+            return table
 
-        crawldb = fetch_seg = link_seg = None
+        # tables are block ref lists (None: known empty). `merged` is the
+        # pending merge (table, count and eligible refs) that builds the
+        # next depth's crawldb; every merge is sized from the rows the
+        # driver already knows: seeds at inject, then the previous
+        # depth's crawldb_size + generated + links
+        crawldb = fetch_seg = link_seg = merged = None
         merge_rows = 0
         start_depth = 0
-        resumed = False
         if ckpt is not None:
             if not cfg.resumable:
                 ckpt.clear()  # Crawler.java:101-110
             else:
                 last = ckpt.latest_complete_depth()
                 if last is not None:
-                    crawldb = ckpt.read_dataset(last, "crawldb")
-                    fetch_seg = ckpt.read_dataset(last, "fetch") if ckpt.has_table(last, "fetch") else None
-                    link_seg = ckpt.read_dataset(last, "link") if ckpt.has_table(last, "link") else None
+                    crawldb = ckpt.read_dataset(last, "crawldb").to_arrow_refs()
+                    fetch_seg, link_seg = (
+                        ckpt.read_dataset(last, name).to_arrow_refs()
+                        if ckpt.has_table(last, name) else None
+                        for name in ("fetch", "link")
+                    )
                     man = ckpt.read_manifest(last)
                     merge_rows = sum(
                         man.get(k, 0)
                         for k in ("crawldb_size", "generated", "links")
                     )
                     start_depth = last + 1
-                    resumed = True
 
         if cfg.approximate_seen and self.seen is None:
             self.seen = ShardedSeenFilter(
@@ -435,9 +447,8 @@ class Crawler:
                 backend=cfg.seen_backend,
             )
 
-        if not resumed:
-            merge_rows = len(self._seeds) + len(self._forced_seeds)
-            crawldb = self._inject(buckets(merge_rows))
+        if crawldb is None:  # a fresh crawl
+            merged = self._inject()
             if self.seen is not None:
                 # ONE batched insert, not awaited: its mask is unused, and
                 # the depth-0 probe is ordered after it by the state ref
@@ -449,134 +460,100 @@ class Crawler:
             dt0 = time.perf_counter()
             m = DepthMetrics(depth=i)
 
-            # 1. merge previous segments (Fetcher.fetchAll step a):
-            # raw-task hash exchange; frontier sizes ride back on tiny
-            # count refs instead of a Dataset count() execution
-            if fetch_seg is not None or link_seg is not None:
-                parts = [(fetch_seg, 0)] if fetch_seg is not None else []
-                if crawldb is not None:
-                    parts.append((crawldb, 1))
-                if link_seg is not None:
-                    parts.append((link_seg, 2))
-                # A2 early termination input rides back WITH the merge:
-                # each reduce bucket also returns its generate-eligible
-                # count (default G1/G2 predicate; user filters/topN can
-                # only DROP among those rows) — no extra task wave
-                m.merge_buckets = buckets(merge_rows)
+            # 1. merge the previous segments (Fetcher.fetchAll step a),
+            # or, on resume, the checkpoint's tables: raw-task hash
+            # exchange; frontier sizes and the A2 early-termination input
+            # (each bucket's generate-eligible count under the default
+            # G1/G2 predicate; user filters/topN can only DROP among
+            # those rows) ride back on tiny count refs
+            t_merge = None
+            if merged is None:
                 t_merge = time.perf_counter()
-                table_refs, count_refs, elig_refs = dedupe_by_key_refs(
-                    parts, m.merge_buckets,
+                merged = dedupe_by_key_refs(
+                    segment_parts(crawldb, fetch_seg, link_seg),
+                    cfg.merge_num_buckets,
                     eligible_max_count=cfg.max_execute_count,
+                    rows=merge_rows,
                 )
-                crawldb, crawldb_refs = rd.from_arrow_refs(table_refs), table_refs
-                m.crawldb_size = sum(ray.get(count_refs))
-                eligible = sum(ray.get(elig_refs))
+            crawldb, count_refs, elig_refs = merged
+            merged = None
+            m.merge_buckets = len(crawldb)
+            m.crawldb_size = sum(ray.get(count_refs))
+            eligible = sum(ray.get(elig_refs))
+            if t_merge is not None:
                 m.merge_s = time.perf_counter() - t_merge
-            else:
-                crawldb = crawldb.materialize()
-                crawldb_refs = crawldb.to_arrow_refs()
-                m.crawldb_size = crawldb.count()
-                if not resumed:  # the inject merge built it
-                    m.merge_buckets = buckets(merge_rows)
-                # no merge this depth (fresh inject): one tiny wave
-                eligible = sum(
-                    ray.get(
-                        [
-                            _count_generate_eligible.remote(
-                                r, cfg.max_execute_count
-                            )
-                            for r in crawldb_refs
-                        ]
-                    )
-                )
             if ckpt is not None:
-                ckpt.write_table(crawldb, i, "crawldb")
-                if cfg.checkpoint_readback:
-                    # swap refs for the parquet copy so the object
-                    # store can evict frontier state (100TB mode)
-                    crawldb = ckpt.read_dataset(i, "crawldb")
-                    crawldb_refs = crawldb.to_arrow_refs()
+                crawldb = checkpoint(crawldb, i, "crawldb")
 
-            if eligible == 0:
-                if self.seen is not None:
-                    m.seen_size = self.seen.approx_size()
-                m.seconds = time.perf_counter() - dt0
-                result.depths.append(m)
-                if ckpt is not None:
-                    ckpt.write_manifest(i, dataclasses.asdict(m))
-                fetch_seg = link_seg = None
-                break
-
-            # 2. generate: on the common path each fetch task filters
-            # its own crawldb bucket (G1/G2/G4); topN and priority need
-            # a global step and routing a wide one, so those run
-            # generate here and hand the fetch wave filtered blocks
-            shards = self.seen.num_shards if self.seen is not None else 0
-            polite = cfg.politeness_budget_ms > 0
-            bucketed = store_handle.get("kind") == "bucketed"
-            in_task = not (cfg.topn > 0 or cfg.priority_meta_key
-                           or polite or bucketed)
-            if in_task:
-                blocks = crawldb_refs
-            else:
-                generated = generate(crawldb, cfg, self.generator_filter)
-                if polite:  # politeness wins (hosts) over store locality
-                    generated = self._route_by_host(generated)
-                elif bucketed:
-                    generated = self._route_by_store_bucket(
-                        generated, store_handle["num_buckets"]
+            # A2: no eligible row, no fetch wave; the depth ends the crawl
+            fetch_seg = link_seg = None
+            if eligible:
+                # 2. generate: on the common path each fetch task filters
+                # its own crawldb bucket (G1/G2/G4); topN and priority need
+                # a global step and routing a wide one, so those run
+                # generate here and hand the fetch wave filtered blocks
+                shards = self.seen.num_shards if self.seen is not None else 0
+                polite = cfg.politeness_budget_ms > 0
+                bucketed = store_handle.get("kind") == "bucketed"
+                in_task = not (cfg.topn > 0 or cfg.priority_meta_key
+                               or polite or bucketed)
+                if in_task:
+                    blocks = crawldb
+                else:
+                    generated = generate(
+                        rd.from_arrow_refs(crawldb), cfg, self.generator_filter
                     )
-                blocks = generated.to_arrow_refs()
+                    if polite:  # politeness wins (hosts) over store locality
+                        generated = self._route_by_host(generated)
+                    elif bucketed:
+                        generated = self._route_by_store_bucket(
+                            generated, store_handle["num_buckets"]
+                        )
+                    blocks = generated.to_arrow_refs()
 
-            # 3. execute: one raw task per block runs fetch + visit and
-            # splits its output into fetch rows, tallies (A3) and link
-            # rows — with the seen filter already split by shard, so ONE
-            # probe task per shard group then drops the probably-seen
-            # rows (per-batch synchronous probes serialized the whole
-            # stage: 4.7x slower than no filter at 300k pages)
-            t_exec = time.perf_counter()
-            exec_out = run_execute(
-                blocks,
-                store_handle,
-                config=cfg,
-                execute_time_ms=(1_000_000 + i) if self.deterministic_time else None,
-                generate=in_task,
-                generator_filter=self.generator_filter,
-                seen_shards=shards,
-                visitor=self.visitor,
-                executor=self.executor,
-                auto_parse=self.auto_parse,
-                regex_rule=self.regex_rule,
-                next_filter=self.next_filter,
-            ).materialize()
-            stats = exec_out.stats()
-            m.execute_s = time.perf_counter() - t_exec
-            m.generated = sum(s["n_fetch"] for s in stats)
-            m.links = sum(s["n_link"] for s in stats)
-            m.fetch_success = sum(s["ok"] for s in stats)
-            m.fetch_failed = sum(s["fail"] for s in stats)
-            frefs, lrefs = exec_out.fetch_refs, exec_out.link_refs
-            fetch_seg = rd.from_arrow_refs(frefs) if frefs else None
-            link_seg = None
-            if self.seen is not None and lrefs:
-                kept_refs, cnt_refs = self.seen.filter_new(lrefs)
-                link_seg = rd.from_arrow_refs(kept_refs)
-                counts = ray.get(cnt_refs)
-                m.links = sum(c[0] for c in counts)
-                m.seen_size = sum(c[1] for c in counts)
-            elif lrefs:
-                link_seg = rd.from_arrow_refs([l[0] for l in lrefs])
-            elif self.seen is not None:
+                # 3. execute: one raw task per block runs fetch + visit and
+                # splits its output into fetch rows, tallies (A3) and link
+                # rows — with the seen filter already split by shard, so ONE
+                # probe task per shard group then drops the probably-seen
+                # rows (per-batch synchronous probes serialized the whole
+                # stage: 4.7x slower than no filter at 300k pages)
+                t_exec = time.perf_counter()
+                exec_out = run_execute(
+                    blocks,
+                    store_handle,
+                    config=cfg,
+                    execute_time_ms=(1_000_000 + i) if self.deterministic_time else None,
+                    generate=in_task,
+                    generator_filter=self.generator_filter,
+                    seen_shards=shards,
+                    visitor=self.visitor,
+                    executor=self.executor,
+                    auto_parse=self.auto_parse,
+                    regex_rule=self.regex_rule,
+                    next_filter=self.next_filter,
+                ).materialize()
+                stats = exec_out.stats()
+                m.execute_s = time.perf_counter() - t_exec
+                m.generated = sum(s["n_fetch"] for s in stats)
+                m.links = sum(s["n_link"] for s in stats)
+                m.fetch_success = sum(s["ok"] for s in stats)
+                m.fetch_failed = sum(s["fail"] for s in stats)
+                lrefs = exec_out.link_refs
+                fetch_seg = exec_out.fetch_refs or None
+                if self.seen is not None and lrefs:
+                    link_seg, cnt_refs = self.seen.filter_new(lrefs)
+                    counts = ray.get(cnt_refs)
+                    m.links = sum(c[0] for c in counts)
+                    m.seen_size = sum(c[1] for c in counts)
+                elif lrefs:
+                    link_seg = [l[0] for l in lrefs]
+            if self.seen is not None and link_seg is None:
                 m.seen_size = self.seen.approx_size()
             if ckpt is not None:
                 if fetch_seg is not None:
-                    ckpt.write_table(fetch_seg, i, "fetch")
-                    if cfg.checkpoint_readback:
-                        fetch_seg = ckpt.read_dataset(i, "fetch")
+                    fetch_seg = checkpoint(fetch_seg, i, "fetch")
                 if link_seg is not None:
-                    ckpt.write_table(link_seg, i, "link")
-                    if cfg.checkpoint_readback:
-                        link_seg = ckpt.read_dataset(i, "link")
+                    link_seg = checkpoint(link_seg, i, "link")
 
             merge_rows = m.crawldb_size + m.generated + m.links
             m.seconds = time.perf_counter() - dt0
@@ -587,17 +564,19 @@ class Crawler:
                 fetch_seg = link_seg = None
                 break
 
+        if merged is not None:  # start(0): no depth took the inject merge
+            crawldb = merged[0]
         # fold trailing segments so the returned crawldb is the fixed point
         if fetch_seg is not None or link_seg is not None:
-            crawldb = merge_segments(
-                crawldb, fetch_seg, link_seg, buckets(merge_rows)
+            result.crawldb = merge_segments(
+                crawldb, fetch_seg, link_seg, cfg.merge_num_buckets,
+                rows=merge_rows,
             )
-            crawldb = crawldb.materialize()
             if ckpt is not None:
                 final_depth = result.depths[-1].depth if result.depths else 0
-                ckpt.write_table(crawldb, final_depth, "crawldb_final")
-
-        result.crawldb = crawldb
+                ckpt.write_table(result.crawldb, final_depth, "crawldb_final")
+        else:
+            result.crawldb = rd.from_arrow_refs(crawldb)
         result.seconds = time.time() - t0
         return result
 

@@ -1,4 +1,3 @@
-from .generate import generate  # noqa: F401
-from .merge import dedupe_by_key, merge_segments  # noqa: F401
-from .execute import ExecuteStage  # noqa: F401
-from .extract import extract_news_batch  # noqa: F401
+"""Crawl stages: generate, merge, execute, extract. Import the submodule
+you need: the package itself imports nothing, so a worker that unpickles
+a merge task never loads the fetch and extraction modules."""

@@ -15,7 +15,8 @@ The same primitive implements seed injection (J1: force-seeds
 overwrite, non-force insert-if-absent; crawldb/DBManager.java:49-86).
 
 Physical plan: a DIRECT two-round hash shuffle built from raw Ray
-tasks (the one place the Dataset API is bypassed, SURVEY.md §7.0):
+tasks over block refs (SURVEY.md §7.0); the inputs are the block ref
+lists the crawler holds, or Datasets:
 
     split: one task per group of input blocks (as many groups as an
            auto-sized exchange has buckets) -> `num_buckets`
@@ -46,13 +47,15 @@ two keep layouts nested: h mod 2n refines h mod n.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray
+import ray.data as rd
+from ray.data import Dataset
 from ray.data.block import BlockAccessor
 
 from ..functions.joins import _bucket_ids, bucket_slices, fan_out
@@ -147,26 +150,39 @@ def _reduce_bucket(eligible_max_count, *parts):
 
 
 def dedupe_by_key_refs(
-    parts: List[Tuple["ray.data.Dataset", int]],  # noqa: F821
+    parts: List[Tuple[Union[List["ray.ObjectRef"], Dataset], int]],
     num_buckets: int = 0,
     eligible_max_count: int = 2**62,
+    rows: Optional[int] = None,
 ):
     """The raw exchange: -> (bucket table refs, bucket row-count refs,
     generate-eligible count refs), one of each per bucket. Counts ride
     back as separate tiny refs so the driver can report frontier sizes
     (and decide A2 termination) without a Dataset count() execution.
-    `num_buckets=0` sizes the exchange with `size_buckets` from the
-    row counts in the input blocks' metadata."""
+
+    A part is (blocks, precedence), its blocks either a list of block
+    refs or a Dataset. `rows`, the input row count, sizes the exchange
+    (`size_buckets`: the bucket count at `num_buckets=0`, and the split
+    groups). The crawler passes the count it already holds; without it
+    the count is summed from the Dataset parts' block metadata, and a
+    ref-list part, which carries none, raises ValueError."""
     if not parts:
         raise ValueError("no parts to merge")
-    pairs, rows = [], 0
-    for ds, prec in parts:
-        for bundle in ds.iter_internal_ref_bundles():
+    pairs, meta_rows = [], 0
+    for blocks, prec in parts:
+        if not isinstance(blocks, Dataset):
+            if rows is None:
+                raise ValueError("a ref-list part needs the input `rows`")
+            pairs += [(prec, r) for r in blocks]
+            continue
+        for bundle in blocks.iter_internal_ref_bundles():
             for block_ref, meta in bundle.blocks:
                 pairs.append((prec, block_ref))
-                rows += meta.num_rows or 0
+                meta_rows += meta.num_rows or 0
     if not pairs:
         raise ValueError("no blocks to merge")
+    if rows is None:
+        rows = meta_rows
     # the split wave is sized to the data like the reduce: as many
     # tasks as an auto-sized exchange over these rows has buckets, so
     # a depth's many small fetch and link blocks share split tasks
@@ -195,36 +211,33 @@ def dedupe_by_key_refs(
 
 
 def dedupe_by_key(
-    parts: List[Tuple["ray.data.Dataset", int]],  # noqa: F821
+    parts: List[Tuple[Dataset, int]],
     num_buckets: int = 0,
-):
+) -> Dataset:
     """Union datasets and keep, per key, the row from the lowest-precedence
     source (ties broken deterministically). Returns a FRONTIER_SCHEMA
     Dataset of one hash-partitioned block per bucket; `num_buckets=0`
     sizes the exchange to the input rows (`size_buckets`)."""
-    import ray.data as rd
-
     table_refs, _, _ = dedupe_by_key_refs(parts, num_buckets)
     return rd.from_arrow_refs(table_refs)
 
 
-def merge_segments(
-    crawldb: Optional["ray.data.Dataset"],  # noqa: F821
-    fetch_seg: Optional["ray.data.Dataset"],  # noqa: F821
-    link_seg: Optional["ray.data.Dataset"],  # noqa: F821
-    num_buckets: int = 0,
-):
-    """Per-depth merge: fetch > crawldb > link (RocksDBManager.java:160-197).
+def segment_parts(crawldb, fetch_seg, link_seg) -> list:
+    """A depth's merge sources as `dedupe_by_key_refs` parts, tagged
+    fetch > crawldb > link (RocksDBManager.java:160-197). Each source is
+    a list of block refs, a Dataset, or None when it is known empty."""
+    return [(t, p) for t, p in ((fetch_seg, 0), (crawldb, 1), (link_seg, 2))
+            if t is not None]
 
-    Pass None for a source that is known empty; at least one source must
-    be present. `num_buckets=0` sizes the exchange to the input rows."""
-    parts = []
-    if fetch_seg is not None:
-        parts.append((fetch_seg, 0))
-    if crawldb is not None:
-        parts.append((crawldb, 1))
-    if link_seg is not None:
-        parts.append((link_seg, 2))
+
+def merge_segments(crawldb, fetch_seg, link_seg, num_buckets: int = 0,
+                   rows: Optional[int] = None) -> Dataset:
+    """Per-depth merge of the `segment_parts` sources, at least one of
+    them present. `num_buckets` and `rows` size the exchange as in
+    `dedupe_by_key_refs`. Returns the merged crawldb as a Dataset of one
+    block per bucket."""
+    parts = segment_parts(crawldb, fetch_seg, link_seg)
     if not parts:
         raise ValueError("merge called with no inputs")
-    return dedupe_by_key(parts, num_buckets)
+    table_refs, _, _ = dedupe_by_key_refs(parts, num_buckets, rows=rows)
+    return rd.from_arrow_refs(table_refs)

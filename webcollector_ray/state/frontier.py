@@ -16,16 +16,18 @@ only in-flight records). Resume = read the newest complete depth's
 crawldb + segments and continue; finished depths are never recomputed.
 
 I/O is a raw Ray task wave, not a Dataset execution (each of those costs
-~0.3-0.5 s of fixed latency whatever the table size): `write_table`
-launches one `pq.write_table` task per block ref, writing block i as
-`part-<i:05d>.parquet` (an empty block writes no file), and sums the row
-counts the tasks return. `read_dataset` launches one read task per part
-file, in sorted name order, with the columns pinned to FRONTIER_SCHEMA,
-and wraps the result refs with `rd.from_arrow_refs`. Before reading a
-table of a depth that has a manifest it checks the part files on disk
-against the manifest's `partitions` lineage (names and byte sizes, one
-stat each): a missing, extra, truncated or otherwise resized part raises
-CheckpointCorruptError instead of resuming from a shorter frontier.
+~0.3-0.5 s of fixed latency whatever the table size). `write_table`
+takes the table as the crawler holds it, a list of block refs (a
+Dataset's blocks are accepted too), launches one `pq.write_table` task
+per block ref, writing block i as `part-<i:05d>.parquet` (an empty block
+writes no file), and sums the row counts the tasks return.
+`read_dataset` launches one read task per part file, in sorted name
+order, with the columns pinned to FRONTIER_SCHEMA, and wraps the result
+refs with `rd.from_arrow_refs`. Before reading a table of a depth that
+has a manifest it checks the part files on disk against the manifest's
+`partitions` lineage (names and byte sizes, one stat each): a missing,
+extra, truncated or otherwise resized part raises CheckpointCorruptError
+instead of resuming from a shorter frontier.
 """
 
 from __future__ import annotations
@@ -93,9 +95,12 @@ class CheckpointStore:
         ) if os.path.isdir(self.root) else False
 
     # --- write ---
-    def write_table(self, ds, depth: int, name: str) -> int:
-        """Write a Dataset as one checkpoint table, one part file per
-        non-empty block; returns the row count."""
+    def write_table(self, blocks, depth: int, name: str) -> int:
+        """Write a list of block refs (or a Dataset's blocks) as one
+        checkpoint table, one part file per non-empty block; returns
+        the row count."""
+        if not isinstance(blocks, list):
+            blocks = blocks.to_arrow_refs()
         path = self.table_dir(depth, name)
         if os.path.isdir(path):
             shutil.rmtree(path)
@@ -106,7 +111,7 @@ class CheckpointStore:
                     _write_part.remote(
                         ref, os.path.join(path, f"part-{i:05d}.parquet")
                     )
-                    for i, ref in enumerate(ds.to_arrow_refs())
+                    for i, ref in enumerate(blocks)
                 ]
             )
         )
