@@ -49,38 +49,103 @@ def test_pmi_partition_invariant(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_graph_ops_partition_invariant(ray_session):
-    from webcollector_ray.functions.graph import (
-        hits_fixed,
-        kcore_peel,
-        pagerank_seeded,
-    )
-
+def _graph_table():
     rng = np.random.default_rng(11)
     nodes = [f"n{i}" for i in range(30)]
     src = rng.choice(nodes, 150).tolist()
     dst = rng.choice(nodes, 150).tolist()
-    t = pa.table({"src": src, "dst": dst})
-    from webcollector_ray.functions.graph import (
-        label_propagation,
-        ra_link_prediction,
-    )
+    return pa.table({"src": src, "dst": dst})
 
-    for fn in (
-        lambda ds, nb: hits_fixed(ds, iters=2, num_buckets=nb),
-        lambda ds, nb: pagerank_seeded(
+
+def _graph_ops():
+    from webcollector_ray.functions import graph as G
+
+    return {
+        "pagerank_fixed": lambda ds, nb: G.pagerank_fixed(
+            ds, iters=2, num_buckets=nb
+        ),
+        "hits_fixed": lambda ds, nb: G.hits_fixed(ds, iters=2, num_buckets=nb),
+        "degree_histogram": lambda ds, nb: G.degree_histogram(
+            ds, num_buckets=nb
+        ),
+        "component_size_census": lambda ds, nb: G.component_size_census(
+            ds, num_buckets=nb
+        ),
+        "reciprocity_census": lambda ds, nb: G.reciprocity_census(
+            ds, num_buckets=nb
+        ),
+        "triangle_count": lambda ds, nb: G.triangle_count(ds, num_buckets=nb),
+        "kcore_peel": lambda ds, nb: G.kcore_peel(
+            ds, k=3, rounds=2, num_buckets=nb
+        ),
+        "pagerank_seeded": lambda ds, nb: G.pagerank_seeded(
             ds, ["n0", "n1"], iters=2, num_buckets=nb
         ),
-        lambda ds, nb: kcore_peel(ds, k=3, rounds=2, num_buckets=nb),
-        lambda ds, nb: label_propagation(ds, iters=3, num_buckets=nb),
-        lambda ds, nb: ra_link_prediction(ds, k=20, num_buckets=nb),
-    ):
+        "assortativity_sums": lambda ds, nb: G.assortativity_sums(
+            ds, num_buckets=nb
+        ),
+        "label_propagation": lambda ds, nb: G.label_propagation(
+            ds, iters=3, num_buckets=nb
+        ),
+        "ra_link_prediction": lambda ds, nb: G.ra_link_prediction(
+            ds, k=20, num_buckets=nb
+        ),
+        "bfs_landmarks": lambda ds, nb: G.bfs_landmarks(
+            ds, ["n0", "n1"], max_depth=3, num_buckets=nb
+        ),
+        "scc_coloring": lambda ds, nb: G.scc_coloring(ds, num_buckets=nb),
+    }
+
+
+def test_graph_ops_partition_invariant(ray_session):
+    t = _graph_table()
+    for name, fn in _graph_ops().items():
         a = _canon(fn(_split_ds(t, 1), 4).to_pandas())
         b = _canon(fn(_split_ds(t, 6), 4).to_pandas())
-        pd.testing.assert_frame_equal(a, b)
+        pd.testing.assert_frame_equal(a, b, obj=name)
         # one bucket: every split task's single return comes back bare
         c = _canon(fn(_split_ds(t, 6), 1).to_pandas())
-        pd.testing.assert_frame_equal(a, c)
+        pd.testing.assert_frame_equal(a, c, obj=name)
+
+
+def test_pagerank_fixed_is_seeded_over_every_node(ray_session):
+    """pagerank_fixed is pagerank_seeded with every node teleporting."""
+    from webcollector_ray.functions.graph import pagerank_fixed, pagerank_seeded
+
+    t = _graph_table()
+    every = set(t["src"].to_pylist()) | set(t["dst"].to_pylist())
+    for nb in (1, 4):
+        a = _canon(
+            pagerank_fixed(_split_ds(t, 3), iters=3, num_buckets=nb).to_pandas()
+        )
+        b = _canon(
+            pagerank_seeded(
+                _split_ds(t, 3), every, iters=3, num_buckets=nb
+            ).to_pandas()
+        )
+        pd.testing.assert_frame_equal(a, b)
+
+
+def test_graph_ops_run_no_limit_probe(ray_session, monkeypatch):
+    """Each graph op runs every plan once: no Dataset.limit call, which
+    in Ray 2.49 is the limit(1) schema probe that to_arrow_refs() and
+    schema() start on a plan not yet run, re-running its map."""
+    calls = []
+    limit = rd.Dataset.limit
+
+    def counting_limit(self, *args, **kwargs):
+        calls.append(args)
+        return limit(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "limit", counting_limit)
+    t = _graph_table()
+    probed = {}
+    for name, fn in _graph_ops().items():
+        n0 = len(calls)
+        fn(_split_ds(t, 3), 4).to_pandas()
+        if len(calls) > n0:
+            probed[name] = len(calls) - n0
+    assert probed == {}
 
 
 def test_sketches_partition_invariant(ray_session):

@@ -62,8 +62,11 @@ class CrawlerConfig:
                                        # groups, one task per group a call)
     seen_bits_per_shard: int = 1 << 23 # bloom bits per shard (1 MiB each)
     approximate_seen: bool = False     # pre-drop probably-seen links via bloom
-                                       # (trades exactness for shuffle volume;
-                                       # OFF for reference-parity runs)
+                                       # (inexact: a false positive drops a new
+                                       # URL; it saves no shuffle, the links
+                                       # cross the object store for the probe
+                                       # and again for the merge; OFF for
+                                       # reference-parity runs)
     seen_backend: str = "bloom"        # "bloom" (cheapest) or "cuckoo"
                                        # (deletable fingerprints — recrawl)
     host_salt_threshold: int = 10000   # frontier rows per host before salting

@@ -39,10 +39,6 @@ from .joins import bucket_slices, fan_out, fan_out_grouped
 _MERSENNE = (1 << 61) - 1
 
 
-def _bucket_of_bytes(s: bytes, num_buckets: int) -> int:
-    return int.from_bytes(hashlib.md5(s).digest()[:8], "big") % num_buckets
-
-
 # ---------------------------------------------------------------- exact
 
 
@@ -682,7 +678,8 @@ def cluster_pairs_minlabel(
     import ray.data as rd
 
     split_refs = fan_out_grouped(
-        _cc_split_edges, pairs_ds.to_arrow_refs(), num_buckets, num_buckets
+        _cc_split_edges, pairs_ds.materialize().to_arrow_refs(),
+        num_buckets, num_buckets,
     )
     edge_refs, label_refs = [], []
     for b in range(num_buckets):
@@ -786,15 +783,6 @@ def hamming64_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = (np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64))
     u8 = x.view(np.uint8).reshape(len(x), 8)
     return np.unpackbits(u8, axis=1).sum(axis=1).astype(np.int64)
-
-
-def simhash_batch(batch: pa.Table, text_col="text") -> pa.Table:
-    hs = simhash64_batch(batch[text_col].to_pylist())
-    return batch.append_column("simhash", pa.array(hs))
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
 
 
 def simhash_dedup_pairs(ds, *, max_hamming: int = 3, text_col="text",

@@ -1,6 +1,7 @@
-"""Link-graph PageRank — the classic web-corpus quality signal
-(Page et al. 1999), used by web-scale training pipelines to weight
-documents by link authority.
+"""Link-graph analytics over one bucketed layout: PageRank (Page et
+al. 1999), HITS, degree / component / reciprocity / triangle / k-core
+/ assortativity censuses, label propagation, link prediction, landmark
+BFS and SCCs — the web-corpus quality and structure signals.
 
 Fixed-iteration, FIXED-POINT integer PageRank so the whole fixpoint
 is cross-engine exact (kmeans_fixed precedent): ranks live as int64
@@ -10,15 +11,26 @@ divisions r // outdeg, and the damping update is
 — integer adds are order-free, so the distributed sums equal the SQL
 oracle bit-for-bit regardless of block order.
 
-Distribution shape per iteration: TWO raw task waves over ONE shared
-node-hash partitioning (edges src-bucketed with outdeg counted in
-place; nodes and every rank vector bucket-ALIGNED with them) —
-(1) ranks zip onto their co-bucketed edges, emitting (dst,
-r // outdeg) split by the dst hash; (2) contributions sum per dst
-onto the node markers with the damping update applied in place
-(no-inlink nodes get the base). No per-step Dataset plans, nothing
-all-to-all beyond the bucket hash, and rank state never collects on
-the driver. hits_fixed and degree_histogram ride the same layout.
+Every layout is built in one place and shares ONE node hash
+(`joins._bucket_ids`):
+- `_edge_blocks`: (src, dst) bucketed by src or by dst, one exchange
+  each (a dst copy derives from the src copy, so the input lineage
+  runs once);
+- `_node_blocks`: the sorted distinct src ∪ dst per bucket, aligned
+  with both edge copies;
+- `_canon_edge_blocks`: the undirected simple graph as (a < b) pairs
+  bucketed by a (triangles, k-core, assortativity);
+- `_sym_simple_edges`: both directions of each undirected edge,
+  bucketed by the label provider (label propagation, link
+  prediction).
+
+Per-iteration distribution shape (PageRank; HITS, BFS and SCC follow
+the same pattern): raw task waves over the bucket-aligned blocks —
+(1) ranks zip onto their co-bucketed edges, emitting (dst, r // outdeg)
+split by the dst hash; (2) contributions sum per dst onto the node
+markers with the damping update applied in place (no-inlink nodes get
+the base). No per-step Dataset plans, nothing all-to-all beyond the
+bucket hash, and rank state never collects on the driver.
 """
 
 from __future__ import annotations
@@ -27,8 +39,19 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
+import ray.data as rd
 
-from .joins import _bucket_ids, bucket_slices, fan_out
+from .dedup import cluster_pairs_minlabel
+from .joins import (
+    _bucket_ids,
+    bucket_slices,
+    df_or_empty,
+    exchange_reduce,
+    fan_out,
+    hash_join,
+)
+from .ranking import global_top_n
+from .sketches import _md5le64
 
 SCALE = 10**12
 
@@ -49,6 +72,131 @@ def _bucket_refs(ds, num_buckets: int):
     return refs
 
 
+def _tag(batch: pa.Table, cols, key_col: str, num_buckets: int) -> pa.Table:
+    """`cols` of `batch` plus each row's `__bucket` by its `key_col`
+    node: the one tagging step in front of every exchange here."""
+    out = batch.select(cols)
+    return out.append_column(
+        "__bucket",
+        pa.array(_bucket_ids(out[key_col].to_pylist(), num_buckets)),
+    )
+
+
+def _edge_blocks(edges, key_col: str, src_col: str, dst_col: str,
+                 num_buckets: int, reduce_fn=None):
+    """(src, dst) edge blocks bucketed by the `key_col` node, one block
+    per bucket. `edges` is a Dataset or the refs of an earlier call
+    (so a dst copy re-buckets the exchanged src copy and the input
+    lineage runs once). `reduce_fn` sees each bucket's two columns and
+    must keep their types; the default passes them through."""
+    cols = [src_col, dst_col]
+    if isinstance(edges, list):
+        edges = rd.from_arrow_refs(edges)
+    reduce_fn = reduce_fn or (lambda t: t)
+    empty = pa.table({c: pa.array([], pa.string()) for c in cols})
+    return _bucket_refs(
+        exchange_reduce(
+            edges.map_batches(
+                lambda b: _tag(b, cols, key_col, num_buckets),
+                batch_format="pyarrow",
+            ),
+            lambda t: reduce_fn(t.select(cols)), reduce_fn(empty),
+            num_buckets,
+        ),
+        num_buckets,
+    )
+
+
+def _node_rows(batch: pa.Table, src_col: str, dst_col: str,
+               num_buckets: int) -> pa.Table:
+    vs = list(
+        dict.fromkeys(batch[src_col].to_pylist() + batch[dst_col].to_pylist())
+    )
+    return pa.table(
+        {"url": pa.array(vs, pa.string()),
+         "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
+    )
+
+
+def _node_blocks(edge_refs, src_col: str, dst_col: str, num_buckets: int):
+    """Node markers: the sorted distinct src ∪ dst of each bucket, one
+    block per bucket, aligned with every `_edge_blocks` copy."""
+    return _bucket_refs(
+        exchange_reduce(
+            rd.from_arrow_refs(edge_refs).map_batches(
+                lambda b: _node_rows(b, src_col, dst_col, num_buckets),
+                batch_format="pyarrow",
+            ),
+            lambda t: pa.table(
+                {"url": pa.array(sorted(set(t["url"].to_pylist())),
+                                 pa.string())}
+            ),
+            pa.table({"url": pa.array([], pa.string())}), num_buckets,
+        ),
+        num_buckets,
+    )
+
+
+def _canon_edge_blocks(edges_ds, src_col: str, dst_col: str,
+                       num_buckets: int):
+    """The undirected simple graph as canonical (a < b) pairs, bucketed
+    by a: direction dropped, self-loops dropped, duplicates removed
+    (every duplicate of (a, b) shares a, hence the bucket, so the
+    per-bucket drop is globally exact). -> materialized Dataset."""
+
+    def canon(batch: pa.Table) -> pa.Table:
+        df = batch.select([src_col, dst_col]).to_pandas()
+        df = df[df[src_col] != df[dst_col]]
+        a = df[[src_col, dst_col]].min(axis=1)
+        b = df[[src_col, dst_col]].max(axis=1)
+        und = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
+        return _tag(
+            pa.table({"a": pa.array(und["a"], pa.string()),
+                      "b": pa.array(und["b"], pa.string())}),
+            ["a", "b"], "a", num_buckets,
+        )
+
+    return exchange_reduce(
+        edges_ds.map_batches(canon, batch_format="pyarrow"),
+        lambda t: pa.Table.from_pandas(
+            t.select(["a", "b"]).to_pandas().drop_duplicates(),
+            preserve_index=False,
+        ),
+        pa.table({"a": pa.array([], pa.string()),
+                  "b": pa.array([], pa.string())}),
+        num_buckets,
+    ).materialize()
+
+
+def _endpoint_rows(batch: pa.Table, num_buckets: int) -> pa.Table:
+    """Each canonical edge (a, b) as two `v` rows, one in each
+    endpoint's bucket: the input of a per-node degree count."""
+    vs = batch["a"].to_pylist() + batch["b"].to_pylist()
+    return pa.table(
+        {"v": pa.array(vs, pa.string()),
+         "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
+    )
+
+
+def _pad_union(edges, key_col: str, nodes, types: dict, num_buckets: int):
+    """Edge rows keyed by `key_col` and `v`-keyed node rows, both
+    null-padded to the `types` columns and tagged, as ONE Dataset: the
+    input of an exchange that joins node values onto edges in-bucket
+    (an edge row is the one whose `v` is null)."""
+
+    def pad(batch: pa.Table, key: str) -> pa.Table:
+        n = len(batch)
+        out = pa.table(
+            {c: (batch[c] if c in batch.column_names else pa.nulls(n, t))
+             for c, t in types.items()}
+        )
+        return _tag(out, list(types), key, num_buckets)
+
+    return edges.map_batches(
+        lambda b: pad(b, key_col), batch_format="pyarrow"
+    ).union(nodes.map_batches(lambda b: pad(b, "v"), batch_format="pyarrow"))
+
+
 def pagerank_fixed(
     edges_ds,
     *,
@@ -60,77 +208,61 @@ def pagerank_fixed(
     """edges (src, dst; multi-edges count) -> Dataset (url, pr_fp) with
     pr_fp the int64 fixed-point rank after `iters` damped iterations.
     N (node count) is the only scalar on the driver."""
-    from .joins import exchange_reduce
+    return _pagerank(edges_ds, None, iters, src_col, dst_col, num_buckets)
 
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        out = batch.select([src_col, dst_col])
-        return out.append_column(
-            "__bucket",
-            pa.array(_bucket_ids(out[src_col].to_pylist(), num_buckets)),
-        )
 
-    edges_empty = pa.table(
-        {
-            src_col: pa.array([], pa.string()),
-            dst_col: pa.array([], pa.string()),
-            "outdeg": pa.array([], pa.int64()),
-        }
-    )
+def pagerank_seeded(
+    edges_ds,
+    seeds,
+    *,
+    iters: int = 3,
+    src_col: str = "src",
+    dst_col: str = "dst",
+    num_buckets: int = 32,
+):
+    """Personalized PageRank: teleport mass restricted to a seed set
+    (Haveliwala 2002) — the seed-quality propagation signal web
+    curation uses to score pages by proximity to a trusted list.
+
+    Same integer fixed-point contract and layout as pagerank_fixed; the
+    only changes are the init vector (SCALE // |seeds| on seeds, 0
+    elsewhere) and the damping base (seeds only). The seed set is a
+    human-curated LIST by definition (bounded), broadcast once via
+    ray.put."""
+    seed_set = frozenset(seeds)
+    if not seed_set:
+        raise ValueError("pagerank_seeded needs a non-empty seed set")
+    return _pagerank(edges_ds, seed_set, iters, src_col, dst_col, num_buckets)
+
+
+def _pagerank(edges_ds, seed_set, iters: int, src_col: str, dst_col: str,
+              num_buckets: int):
+    """Both PageRanks: `seed_set` is the teleport set, None = every
+    node (so pagerank_fixed == pagerank_seeded over all nodes)."""
 
     def with_outdeg(t: pa.Table) -> pa.Table:
-        df = t.select([src_col, dst_col]).to_pandas()
-        df["outdeg"] = df.groupby(src_col, sort=False)[src_col].transform(
-            "size"
-        ).astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    # one exchange: co-locate each src's edges, count outdeg in place;
-    # blocks stay src-bucketed for every later iteration
-    edges = exchange_reduce(
-        edges_ds.map_batches(tag_edges, batch_format="pyarrow"),
-        with_outdeg, edges_empty, num_buckets,
-    ).materialize()
-
-    # node set = distinct src union dst, bucketed by the same hash
-    def node_rows(batch: pa.Table) -> pa.Table:
-        vs = list(
-            dict.fromkeys(
-                batch[src_col].to_pylist() + batch[dst_col].to_pylist()
-            )
-        )
-        return pa.table(
-            {
-                "url": pa.array(vs, pa.string()),
-                "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
-            }
+        # each src's edges are co-located: count outdeg in place
+        src = t[src_col].to_pandas()
+        outdeg = src.groupby(src, sort=False).transform("size")
+        return t.append_column(
+            "outdeg", pa.array(outdeg.to_numpy(np.int64), pa.int64())
         )
 
-    nodes_empty = pa.table({"url": pa.array([], pa.string())})
-
-    def distinct_nodes(t: pa.Table) -> pa.Table:
-        vs = sorted(set(t["url"].to_pylist()))
-        return pa.table({"url": pa.array(vs, pa.string())})
-
-    nodes = exchange_reduce(
-        edges.map_batches(node_rows, batch_format="pyarrow"),
-        distinct_nodes, nodes_empty, num_buckets,
-    ).materialize()
-    import ray.data as rd
-
-    es_refs = _bucket_refs(edges, num_buckets)
-    node_refs = _bucket_refs(nodes, num_buckets)
-    n_nodes = sum(ray.get([_hits_block_len.remote(r) for r in node_refs]))
-    r_init = SCALE // n_nodes
+    # edges stay src-bucketed for every iteration; nodes and every rank
+    # vector share the same node hash
+    es_refs = _edge_blocks(
+        edges_ds, src_col, src_col, dst_col, num_buckets, with_outdeg
+    )
+    node_refs = _node_blocks(es_refs, src_col, dst_col, num_buckets)
+    if seed_set is None:
+        n_nodes = sum(ray.get([_hits_block_len.remote(r) for r in node_refs]))
+        r_init = SCALE // n_nodes
+    else:
+        r_init = SCALE // len(seed_set)
     base = (15 * r_init) // 100
+    seeds_ref = ray.put(seed_set)
 
-    # hits_fixed precedent: edges (src-hash), nodes and every rank
-    # vector share ONE node-hash partitioning, so each iteration is
-    # exactly two raw task waves — (1) bucket-aligned zip of ranks
-    # onto their co-bucketed edges emitting (dst, r // outdeg) split
-    # by the dst hash, (2) per-bucket contribution sum onto the node
-    # markers applying the damping update. No per-step Dataset plans,
-    # no union shuffle of the rank side, nothing on the driver.
-    rank_refs = [_pr_init.remote(r, r_init) for r in node_refs]
+    rank_refs = [_pr_init.remote(r, seeds_ref, r_init) for r in node_refs]
     for _ in range(iters):
         parts = [
             fan_out(
@@ -139,18 +271,30 @@ def pagerank_fixed(
             for e, rk in zip(es_refs, rank_refs)
         ]
         rank_refs = [
-            _pr_update.remote(node_refs[b], base, *[p[b] for p in parts])
+            _pr_update.remote(
+                node_refs[b], seeds_ref, base, *[p[b] for p in parts]
+            )
             for b in range(num_buckets)
         ]
     return rd.from_arrow_refs(rank_refs)
 
 
+def _teleport(nodes_block: pa.Table, seed_set, v: int) -> np.ndarray:
+    """`v` on every teleport node of the block (all when seed_set is
+    None), 0 elsewhere."""
+    if seed_set is None:
+        return np.full(len(nodes_block), v, dtype=np.int64)
+    return np.array(
+        [v if u in seed_set else 0 for u in nodes_block["url"].to_pylist()],
+        dtype=np.int64,
+    )
+
+
 @ray.remote
-def _pr_init(nodes_block: pa.Table, r_init: int) -> pa.Table:
+def _pr_init(nodes_block: pa.Table, seed_set, r_init: int) -> pa.Table:
     return pa.table(
         {"url": nodes_block["url"],
-         "pr_fp": pa.array(
-             np.full(len(nodes_block), r_init, dtype=np.int64))}
+         "pr_fp": pa.array(_teleport(nodes_block, seed_set, r_init))}
     )
 
 
@@ -181,10 +325,10 @@ def _pr_zip_contrib(
 
 
 @ray.remote
-def _pr_update(nodes_block: pa.Table, base: int, *parts) -> pa.Table:
+def _pr_update(nodes_block: pa.Table, seed_set, base: int, *parts) -> pa.Table:
     """Sum contributions per node over the markers and apply the
-    damping update base + (85 * s) // 100 (no-inlink nodes get the
-    base)."""
+    damping update base + (85 * s) // 100, the base on teleport nodes
+    only (no-inlink ones get just the base)."""
     urls = nodes_block["url"].to_pandas()
     tabs = [t for t in parts if t is not None and len(t)]
     if tabs:
@@ -193,7 +337,7 @@ def _pr_update(nodes_block: pa.Table, base: int, *parts) -> pa.Table:
         sv = urls.map(s).fillna(0).astype("int64").to_numpy()
     else:
         sv = np.zeros(len(urls), dtype=np.int64)
-    new_r = base + (85 * sv) // 100
+    new_r = _teleport(nodes_block, seed_set, base) + (85 * sv) // 100
     return pa.table(
         {"url": nodes_block["url"],
          "pr_fp": pa.array(new_r.astype(np.int64))}
@@ -235,69 +379,10 @@ def hits_fixed(
     raw vector + a per-bucket subtotal — the driver folds only
     #buckets ints into the global L1 total); (3) map-only normalize.
     Score state never collects on the driver beyond that scalar."""
-    import ray.data as rd
-
-    from .joins import exchange_reduce
-
-    def tag(batch: pa.Table, key: str) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(_bucket_ids(batch[key].to_pylist(), num_buckets)),
-        )
-
-    e_empty = pa.table(
-        {src_col: pa.array([], pa.string()),
-         dst_col: pa.array([], pa.string())}
-    )
-    edges_src = exchange_reduce(
-        edges_ds.map_batches(
-            lambda b: tag(b.select([src_col, dst_col]), src_col),
-            batch_format="pyarrow",
-        ),
-        lambda t: t.select([src_col, dst_col]), e_empty, num_buckets,
-    )
-    es_refs = _bucket_refs(edges_src, num_buckets)
-    # dst-bucketed copy derives from the already-exchanged src copy —
-    # the (possibly expensive) edges_ds lineage runs exactly once
-    ed_refs = _bucket_refs(
-        exchange_reduce(
-            rd.from_arrow_refs(list(es_refs)).map_batches(
-                lambda b: tag(b, dst_col), batch_format="pyarrow",
-            ),
-            lambda t: t.select([src_col, dst_col]), e_empty, num_buckets,
-        ), num_buckets,
-    )
-
-    def node_rows(batch: pa.Table) -> pa.Table:
-        vs = list(
-            dict.fromkeys(
-                batch[src_col].to_pylist() + batch[dst_col].to_pylist()
-            )
-        )
-        return pa.table(
-            {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
-        )
-
-    nodes_empty = pa.table({"url": pa.array([], pa.string())})
-    node_refs = _bucket_refs(
-        exchange_reduce(
-            rd.from_arrow_refs(list(es_refs)).map_batches(
-                node_rows, batch_format="pyarrow"
-            ),
-            lambda t: pa.table(
-                {"url": pa.array(
-                    sorted(set(t["url"].to_pylist())), pa.string()
-                )}
-            ),
-            nodes_empty, num_buckets,
-        ), num_buckets,
-    )
-    import ray as _ray
-
-    n_nodes = sum(
-        _ray.get([_hits_block_len.remote(r) for r in node_refs])
-    )
+    es_refs = _edge_blocks(edges_ds, src_col, src_col, dst_col, num_buckets)
+    ed_refs = _edge_blocks(es_refs, dst_col, src_col, dst_col, num_buckets)
+    node_refs = _node_blocks(es_refs, src_col, dst_col, num_buckets)
+    n_nodes = sum(ray.get([_hits_block_len.remote(r) for r in node_refs]))
     s0 = HITS_SCALE // max(1, n_nodes)
 
     score_refs = [
@@ -315,7 +400,7 @@ def hits_fixed(
             _hits_sum_raw.remote(node_refs[b], *[p[b] for p in parts])
             for b in range(num_buckets)
         ]
-        total = sum(_ray.get([rs[1] for rs in raw_sub]))
+        total = sum(ray.get([rs[1] for rs in raw_sub]))
         return [
             _hits_norm.remote(node_refs[b], raw_sub[b][0], total)
             for b in range(num_buckets)
@@ -441,62 +526,9 @@ def degree_histogram(
     per-bucket HISTOGRAM partials (degree -> n_nodes, bounded by the
     distinct-degree count, not the node count) then fold in one tiny
     reduce. Output: (kind 'in'|'out', degree, n_nodes)."""
-    import ray.data as rd
-
-    from .joins import exchange_reduce
-
-    def tag(batch: pa.Table, key: str) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(_bucket_ids(batch[key].to_pylist(), num_buckets)),
-        )
-
-    e_empty = pa.table(
-        {src_col: pa.array([], pa.string()),
-         dst_col: pa.array([], pa.string())}
-    )
-    edges_src = exchange_reduce(
-        edges_ds.map_batches(
-            lambda b: tag(b.select([src_col, dst_col]), src_col),
-            batch_format="pyarrow",
-        ),
-        lambda t: t.select([src_col, dst_col]), e_empty, num_buckets,
-    )
-    es_refs = _bucket_refs(edges_src, num_buckets)
-    ed_refs = _bucket_refs(
-        exchange_reduce(
-            rd.from_arrow_refs(list(es_refs)).map_batches(
-                lambda b: tag(b, dst_col), batch_format="pyarrow",
-            ),
-            lambda t: t.select([src_col, dst_col]), e_empty, num_buckets,
-        ), num_buckets,
-    )
-
-    def node_rows(batch: pa.Table) -> pa.Table:
-        vs = list(
-            dict.fromkeys(
-                batch[src_col].to_pylist() + batch[dst_col].to_pylist()
-            )
-        )
-        return pa.table(
-            {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
-        )
-
-    nodes_empty = pa.table({"url": pa.array([], pa.string())})
-    node_refs = _bucket_refs(
-        exchange_reduce(
-            rd.from_arrow_refs(list(es_refs)).map_batches(
-                node_rows, batch_format="pyarrow"
-            ),
-            lambda t: pa.table(
-                {"url": pa.array(
-                    sorted(set(t["url"].to_pylist())), pa.string()
-                )}
-            ),
-            nodes_empty, num_buckets,
-        ), num_buckets,
-    )
+    es_refs = _edge_blocks(edges_ds, src_col, src_col, dst_col, num_buckets)
+    ed_refs = _edge_blocks(es_refs, dst_col, src_col, dst_col, num_buckets)
+    node_refs = _node_blocks(es_refs, src_col, dst_col, num_buckets)
 
     parts = [
         _deg_hist_block.remote("out", node_refs[b], es_refs[b], src_col)
@@ -505,8 +537,9 @@ def degree_histogram(
         _deg_hist_block.remote("in", node_refs[b], ed_refs[b], dst_col)
         for b in range(num_buckets)
     ]
-    out = ray.get(_deg_hist_fold.remote(*parts))
-    return rd.from_arrow(out)
+    return rd.from_arrow(
+        ray.get(_hist_fold.remote(["kind", "degree"], "n_nodes", *parts))
+    )
 
 
 @ray.remote
@@ -543,18 +576,14 @@ def _deg_hist_block(
 
 
 @ray.remote
-def _deg_hist_fold(*parts) -> pa.Table:
+def _hist_fold(keys, count_col: str, *parts) -> pa.Table:
+    """Fold per-bucket histogram partials: sum `count_col` per `keys`,
+    sorted by `keys`, in the partials' column types."""
     cat = pa.concat_tables([p for p in parts if p is not None and len(p)])
-    df = cat.to_pandas().groupby(["kind", "degree"], as_index=False)[
-        "n_nodes"
-    ].sum()
-    df = df.sort_values(["kind", "degree"]).reset_index(drop=True)
+    df = cat.to_pandas().groupby(keys, as_index=False)[count_col].sum()
+    df = df.sort_values(keys).reset_index(drop=True)
     return pa.table(
-        {
-            "kind": pa.array(df["kind"], pa.string()),
-            "degree": pa.array(df["degree"].to_numpy(np.int64)),
-            "n_nodes": pa.array(df["n_nodes"].to_numpy(np.int64)),
-        }
+        {f.name: pa.array(df[f.name], f.type) for f in cat.schema}
     )
 
 
@@ -577,11 +606,6 @@ def component_size_census(
     — two task waves per round, no driver union-find); sizes count in
     one label-hash exchange; the final histogram is bounded by the
     distinct-size count. Output: (size, n_components)."""
-    import ray.data as rd
-
-    from .dedup import cluster_pairs_minlabel
-    from .joins import exchange_reduce
-    from .sketches import _md5le64
 
     def to_ids(batch: pa.Table) -> pa.Table:
         a = [
@@ -634,23 +658,8 @@ def component_size_census(
     )
     # fold the bounded per-bucket histograms
     return rd.from_arrow(
-        ray.get(_deg_hist_fold_sizes.remote(*parts.to_arrow_refs()))
-    )
-
-
-@ray.remote
-def _deg_hist_fold_sizes(*parts) -> pa.Table:
-    cat = pa.concat_tables([p for p in parts if p is not None and len(p)])
-    df = cat.to_pandas().groupby("size", as_index=False)[
-        "n_components"
-    ].sum().sort_values("size").reset_index(drop=True)
-    return pa.table(
-        {
-            "size": pa.array(df["size"].to_numpy(np.int64)),
-            "n_components": pa.array(
-                df["n_components"].to_numpy(np.int64)
-            ),
-        }
+        ray.get(_hist_fold.remote(["size"], "n_components",
+                                  *parts.to_arrow_refs()))
     )
 
 
@@ -668,20 +677,14 @@ def reciprocity_census(
     Shape: ONE exchange keyed by the UNORDERED pair hash — both
     directions of a pair co-locate, so each bucket counts its pairs
     completely; the fold sums #buckets partial rows."""
-    import ray.data as rd
 
-    from .joins import exchange_reduce
-
-    def tag(batch: pa.Table) -> pa.Table:
+    def by_pair(batch: pa.Table) -> pa.Table:
         df = batch.select([src_col, dst_col]).to_pandas()
         df = df[df[src_col] != df[dst_col]].drop_duplicates()
         a = df[[src_col, dst_col]].min(axis=1)
         b = df[[src_col, dst_col]].max(axis=1)
         key = (a + "\x00" + b).to_numpy(dtype=object)
-        bk = (
-            pd.util.hash_array(key, categorize=False)
-            % np.uint64(num_buckets)
-        ).astype(np.int32) if len(key) else np.zeros(0, dtype=np.int32)
+        bk = _bucket_ids(key, num_buckets)
         return pa.table(
             {
                 src_col: pa.array(df[src_col], pa.string()),
@@ -710,11 +713,9 @@ def reciprocity_census(
             }
         )
 
-    from .joins import df_or_empty
-
     parts = df_or_empty(
         exchange_reduce(
-            edges_ds.map_batches(tag, batch_format="pyarrow"),
+            edges_ds.map_batches(by_pair, batch_format="pyarrow"),
             count, empty, num_buckets,
         ),
         empty,
@@ -751,42 +752,8 @@ def triangle_count(
     volume is O(#wedges); at web scale emit wedges from the
     lower-DEGREE endpoint to tame hub explosion (id-order here; the
     synthetic web's max degree is bounded)."""
-    import ray.data as rd
+    edges = _canon_edge_blocks(edges_ds, src_col, dst_col, num_buckets)
 
-    from .joins import exchange_reduce
-
-    def canon(batch: pa.Table) -> pa.Table:
-        df = batch.select([src_col, dst_col]).to_pandas()
-        df = df[df[src_col] != df[dst_col]]
-        a = df[[src_col, dst_col]].min(axis=1)
-        b = df[[src_col, dst_col]].max(axis=1)
-        und = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
-        bk = (
-            pd.util.hash_array(
-                und["a"].to_numpy(dtype=object), categorize=False
-            ) % np.uint64(num_buckets)
-        ).astype(np.int32) if len(und) else np.zeros(0, dtype=np.int32)
-        return pa.table(
-            {
-                "a": pa.array(und["a"], pa.string()),
-                "b": pa.array(und["b"], pa.string()),
-                "__bucket": pa.array(bk),
-            }
-        )
-
-    e_empty = pa.table(
-        {"a": pa.array([], pa.string()), "b": pa.array([], pa.string())}
-    )
-    edges = exchange_reduce(
-        edges_ds.map_batches(canon, batch_format="pyarrow"),
-        lambda t: pa.Table.from_pandas(
-            t.select(["a", "b"]).to_pandas().drop_duplicates(),
-            preserve_index=False,
-        ),
-        e_empty, num_buckets,
-    ).materialize()
-
-    w_cols = ["v", "w", "kind"]
     w_empty = pa.table({"n": pa.array([], pa.int64())})
 
     def wedges(batch: pa.Table) -> pa.Table:
@@ -823,10 +790,7 @@ def triangle_count(
         key = np.asarray(
             [f"{v}\x00{w}" for v, w in zip(vs, ws)], dtype=object
         )
-        bk = (
-            pd.util.hash_array(key, categorize=False)
-            % np.uint64(num_buckets)
-        ).astype(np.int32) if len(key) else np.zeros(0, dtype=np.int32)
+        bk = _bucket_ids(key, num_buckets)
         return pa.table(
             {
                 "v": pa.array(vs, pa.string()),
@@ -844,8 +808,6 @@ def triangle_count(
             return pa.table({"n": pa.array([0], pa.int64())})
         m = wdg.merge(e, on=["v", "w"])
         return pa.table({"n": pa.array([len(m)], pa.int64())})
-
-    from .joins import df_or_empty
 
     parts = df_or_empty(
         exchange_reduce(
@@ -883,73 +845,27 @@ def kcore_peel(
     exchanges (edges re-keyed by each endpoint filter against the
     co-bucketed alive markers) — all bounded, nothing on the
     driver."""
-    import ray.data as rd
-
-    from .joins import exchange_reduce
-
+    und = _canon_edge_blocks(edges_ds, src_col, dst_col, num_buckets)
     e_empty = pa.table(
         {"a": pa.array([], pa.string()), "b": pa.array([], pa.string())}
     )
-
-    def canon(batch: pa.Table) -> pa.Table:
-        df = batch.select([src_col, dst_col]).to_pandas()
-        df = df[df[src_col] != df[dst_col]]
-        a = df[[src_col, dst_col]].min(axis=1)
-        b = df[[src_col, dst_col]].max(axis=1)
-        und = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
-        return pa.table(
-            {
-                "a": pa.array(und["a"], pa.string()),
-                "b": pa.array(und["b"], pa.string()),
-                "__bucket": pa.array(
-                    _bucket_ids(und["a"].tolist(), num_buckets)
-                ),
-            }
-        )
-
-    und = exchange_reduce(
-        edges_ds.map_batches(canon, batch_format="pyarrow"),
-        lambda t: pa.Table.from_pandas(
-            t.select(["a", "b"]).to_pandas().drop_duplicates(),
-            preserve_index=False,
-        ),
-        e_empty, num_buckets,
-    ).materialize()
-
-    cols = ["a", "b", "v"]
     types = {"a": pa.string(), "b": pa.string(), "v": pa.string()}
+    cols = list(types)
 
-    def pad(batch: pa.Table, key: str) -> pa.Table:
-        n = len(batch)
-        out = pa.table(
-            {c: (batch[c] if c in batch.column_names
-                 else pa.nulls(n, types[c])) for c in cols}
-        )
-        return out.append_column(
-            "__bucket",
-            pa.array(_bucket_ids(out[key].to_pylist(), num_buckets)),
-        )
+    def ends(batch: pa.Table) -> pa.Table:
+        return _endpoint_rows(batch, num_buckets)
 
     a_empty = pa.table({"v": pa.array([], pa.string())})
 
     for _ in range(rounds):
-        # degree: every edge lands in BOTH endpoints' buckets
-        def deg_rows(batch: pa.Table) -> pa.Table:
-            vs = batch["a"].to_pylist() + batch["b"].to_pylist()
-            return pa.table(
-                {
-                    "v": pa.array(vs, pa.string()),
-                    "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
-                }
-            )
-
         def alive_rows(t: pa.Table) -> pa.Table:
             s = pd.Series(t["v"].to_pylist()).value_counts()
             keep = s[s >= k].index.tolist()
             return pa.table({"v": pa.array(keep, pa.string())})
 
+        # degree: every edge lands in BOTH endpoints' buckets
         alive = exchange_reduce(
-            und.map_batches(deg_rows, batch_format="pyarrow"),
+            und.map_batches(ends, batch_format="pyarrow"),
             alive_rows, a_empty, num_buckets,
         ).materialize()
 
@@ -968,30 +884,13 @@ def kcore_peel(
             return f
 
         step1 = exchange_reduce(
-            und.map_batches(
-                lambda bt: pad(bt, "a"), batch_format="pyarrow"
-            ).union(alive.map_batches(
-                lambda bt: pad(bt, "v"), batch_format="pyarrow"
-            )),
+            _pad_union(und, "a", alive, types, num_buckets),
             filt("a"), e_empty, num_buckets,
         )
         und = exchange_reduce(
-            step1.map_batches(
-                lambda bt: pad(bt, "b"), batch_format="pyarrow"
-            ).union(alive.map_batches(
-                lambda bt: pad(bt, "v"), batch_format="pyarrow"
-            )),
+            _pad_union(step1, "b", alive, types, num_buckets),
             filt("b"), e_empty, num_buckets,
         ).materialize()
-
-    def final_deg_rows(batch: pa.Table) -> pa.Table:
-        vs = batch["a"].to_pylist() + batch["b"].to_pylist()
-        return pa.table(
-            {
-                "v": pa.array(vs, pa.string()),
-                "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
-            }
-        )
 
     d_empty = pa.table(
         {"url": pa.array([], pa.string()),
@@ -1008,138 +907,8 @@ def kcore_peel(
         )
 
     return exchange_reduce(
-        und.map_batches(final_deg_rows, batch_format="pyarrow"),
+        und.map_batches(ends, batch_format="pyarrow"),
         final_deg, d_empty, num_buckets,
-    )
-
-
-def pagerank_seeded(
-    edges_ds,
-    seeds,
-    *,
-    iters: int = 3,
-    src_col: str = "src",
-    dst_col: str = "dst",
-    num_buckets: int = 32,
-):
-    """Personalized PageRank: teleport mass restricted to a seed set
-    (Haveliwala 2002) — the seed-quality propagation signal web
-    curation uses to score pages by proximity to a trusted list.
-
-    Same integer fixed-point contract and two-wave-per-iteration
-    layout as pagerank_fixed; the only changes are the init vector
-    (SCALE // |seeds| on seeds, 0 elsewhere) and the damping base
-    (seeds only). The seed set is a human-curated LIST by definition
-    (bounded), broadcast once via ray.put."""
-    from .joins import exchange_reduce
-
-    seed_set = frozenset(seeds)
-    if not seed_set:
-        raise ValueError("pagerank_seeded needs a non-empty seed set")
-
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        out = batch.select([src_col, dst_col])
-        return out.append_column(
-            "__bucket",
-            pa.array(_bucket_ids(out[src_col].to_pylist(), num_buckets)),
-        )
-
-    edges_empty = pa.table(
-        {
-            src_col: pa.array([], pa.string()),
-            dst_col: pa.array([], pa.string()),
-            "outdeg": pa.array([], pa.int64()),
-        }
-    )
-
-    def with_outdeg(t: pa.Table) -> pa.Table:
-        df = t.select([src_col, dst_col]).to_pandas()
-        df["outdeg"] = df.groupby(src_col, sort=False)[
-            src_col
-        ].transform("size").astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    edges = exchange_reduce(
-        edges_ds.map_batches(tag_edges, batch_format="pyarrow"),
-        with_outdeg, edges_empty, num_buckets,
-    ).materialize()
-
-    def node_rows(batch: pa.Table) -> pa.Table:
-        vs = list(
-            dict.fromkeys(
-                batch[src_col].to_pylist() + batch[dst_col].to_pylist()
-            )
-        )
-        return pa.table(
-            {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
-        )
-
-    nodes_empty = pa.table({"url": pa.array([], pa.string())})
-    nodes = exchange_reduce(
-        edges.map_batches(node_rows, batch_format="pyarrow"),
-        lambda t: pa.table(
-            {"url": pa.array(sorted(set(t["url"].to_pylist())), pa.string())}
-        ),
-        nodes_empty, num_buckets,
-    ).materialize()
-    import ray.data as rd
-
-    es_refs = _bucket_refs(edges, num_buckets)
-    node_refs = _bucket_refs(nodes, num_buckets)
-    r_init = SCALE // len(seed_set)
-    base = (15 * r_init) // 100
-    seeds_ref = ray.put(seed_set)
-
-    rank_refs = [
-        _ppr_init.remote(r, seeds_ref, r_init) for r in node_refs
-    ]
-    for _ in range(iters):
-        parts = [
-            fan_out(
-                _pr_zip_contrib, num_buckets, src_col, dst_col, e, rk
-            )
-            for e, rk in zip(es_refs, rank_refs)
-        ]
-        rank_refs = [
-            _ppr_update.remote(
-                node_refs[b], seeds_ref, base, *[p[b] for p in parts]
-            )
-            for b in range(num_buckets)
-        ]
-    return rd.from_arrow_refs(rank_refs)
-
-
-@ray.remote
-def _ppr_init(nodes_block: pa.Table, seed_set, r_init: int) -> pa.Table:
-    urls = nodes_block["url"].to_pylist()
-    r = np.array(
-        [r_init if u in seed_set else 0 for u in urls], dtype=np.int64
-    )
-    return pa.table(
-        {"url": nodes_block["url"], "pr_fp": pa.array(r)}
-    )
-
-
-@ray.remote
-def _ppr_update(
-    nodes_block: pa.Table, seed_set, base: int, *parts
-) -> pa.Table:
-    urls = nodes_block["url"].to_pandas()
-    tabs = [t for t in parts if t is not None and len(t)]
-    if tabs:
-        cat = pa.concat_tables(tabs).to_pandas()
-        s = cat.groupby("v", sort=False)["c"].sum().astype("int64")
-        sv = urls.map(s).fillna(0).astype("int64").to_numpy()
-    else:
-        sv = np.zeros(len(urls), dtype=np.int64)
-    bases = np.array(
-        [base if u in seed_set else 0 for u in urls.tolist()],
-        dtype=np.int64,
-    )
-    return pa.table(
-        {"url": nodes_block["url"],
-         "pr_fp": pa.array(bases + (85 * sv) // 100)}
     )
 
 
@@ -1161,47 +930,7 @@ def assortativity_sums(
     then two attach exchanges (da by endpoint a, db by endpoint b)
     whose second reduce collapses each bucket to ONE partial-sums row;
     the driver folds #buckets rows."""
-    import ray.data as rd
-
-    from .joins import df_or_empty, exchange_reduce
-
-    e_empty = pa.table(
-        {"a": pa.array([], pa.string()), "b": pa.array([], pa.string())}
-    )
-
-    def canon(batch: pa.Table) -> pa.Table:
-        df = batch.select([src_col, dst_col]).to_pandas()
-        df = df[df[src_col] != df[dst_col]]
-        a = df[[src_col, dst_col]].min(axis=1)
-        b = df[[src_col, dst_col]].max(axis=1)
-        und = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
-        return pa.table(
-            {
-                "a": pa.array(und["a"], pa.string()),
-                "b": pa.array(und["b"], pa.string()),
-                "__bucket": pa.array(
-                    _bucket_ids(und["a"].tolist(), num_buckets)
-                ),
-            }
-        )
-
-    und = exchange_reduce(
-        edges_ds.map_batches(canon, batch_format="pyarrow"),
-        lambda t: pa.Table.from_pandas(
-            t.select(["a", "b"]).to_pandas().drop_duplicates(),
-            preserve_index=False,
-        ),
-        e_empty, num_buckets,
-    ).materialize()
-
-    def deg_rows(batch: pa.Table) -> pa.Table:
-        vs = batch["a"].to_pylist() + batch["b"].to_pylist()
-        return pa.table(
-            {
-                "v": pa.array(vs, pa.string()),
-                "__bucket": pa.array(_bucket_ids(vs, num_buckets)),
-            }
-        )
+    und = _canon_edge_blocks(edges_ds, src_col, dst_col, num_buckets)
 
     d_empty = pa.table(
         {"v": pa.array([], pa.string()), "d": pa.array([], pa.int64())}
@@ -1217,24 +946,15 @@ def assortativity_sums(
         )
 
     deg = exchange_reduce(
-        und.map_batches(deg_rows, batch_format="pyarrow"),
+        und.map_batches(
+            lambda b: _endpoint_rows(b, num_buckets), batch_format="pyarrow"
+        ),
         deg_count, d_empty, num_buckets,
     ).materialize()
 
-    cols = ["a", "b", "v", "d", "da"]
     types = {"a": pa.string(), "b": pa.string(), "v": pa.string(),
              "d": pa.int64(), "da": pa.int64()}
-
-    def pad(batch: pa.Table, key: str) -> pa.Table:
-        n = len(batch)
-        out = pa.table(
-            {c: (batch[c] if c in batch.column_names
-                 else pa.nulls(n, types[c])) for c in cols}
-        )
-        return out.append_column(
-            "__bucket",
-            pa.array(_bucket_ids(out[key].to_pylist(), num_buckets)),
-        )
+    cols = list(types)
 
     ea_empty = pa.table(
         {"a": pa.array([], pa.string()), "b": pa.array([], pa.string()),
@@ -1255,10 +975,7 @@ def assortativity_sums(
         )
 
     j1 = exchange_reduce(
-        und.map_batches(lambda bt: pad(bt, "a"), batch_format="pyarrow")
-        .union(deg.map_batches(
-            lambda bt: pad(bt, "v"), batch_format="pyarrow"
-        )),
+        _pad_union(und, "a", deg, types, num_buckets),
         attach_da, ea_empty, num_buckets,
     )
 
@@ -1289,11 +1006,7 @@ def assortativity_sums(
 
     parts = df_or_empty(
         exchange_reduce(
-            j1.map_batches(
-                lambda bt: pad(bt, "b"), batch_format="pyarrow"
-            ).union(deg.map_batches(
-                lambda bt: pad(bt, "v"), batch_format="pyarrow"
-            )),
+            _pad_union(j1, "b", deg, types, num_buckets),
             attach_db_and_sum, s_empty, num_buckets,
         ),
         s_empty,
@@ -1315,7 +1028,6 @@ def _sym_simple_edges(edges_ds, src_col: str, dst_col: str,
     copies of an undirected edge land in their own ctr bucket; the
     per-bucket drop_duplicates is globally exact because every
     duplicate of (ctr, nbr) shares ctr and therefore the bucket."""
-    from .joins import exchange_reduce
 
     def sym(batch: pa.Table) -> pa.Table:
         df = batch.select([src_col, dst_col]).to_pandas()
@@ -1323,14 +1035,10 @@ def _sym_simple_edges(edges_ds, src_col: str, dst_col: str,
         ctr = pd.concat([df[src_col], df[dst_col]], ignore_index=True)
         nbr = pd.concat([df[dst_col], df[src_col]], ignore_index=True)
         out = pd.DataFrame({"ctr": ctr, "nbr": nbr}).drop_duplicates()
-        return pa.table(
-            {
-                "ctr": pa.array(out["ctr"], pa.string()),
-                "nbr": pa.array(out["nbr"], pa.string()),
-                "__bucket": pa.array(
-                    _bucket_ids(out["ctr"].to_numpy(dtype=object), num_buckets)
-                ),
-            }
+        return _tag(
+            pa.table({"ctr": pa.array(out["ctr"], pa.string()),
+                      "nbr": pa.array(out["nbr"], pa.string())}),
+            ["ctr", "nbr"], "ctr", num_buckets,
         )
 
     s_empty = pa.table(
@@ -1428,8 +1136,6 @@ def label_propagation(
     waves (zip labels onto co-bucketed edges splitting votes by the
     receiver hash; per-bucket majority vote updating in place). Label
     state never collects on the driver."""
-    import ray.data as rd
-
     sym = _sym_simple_edges(edges_ds, src_col, dst_col, num_buckets)
     sym_refs = _bucket_refs(sym, num_buckets)
     # node set = distinct ctr per bucket (every node appears as ctr in
@@ -1479,11 +1185,6 @@ def ra_link_prediction(
     Shuffle volume is O(#wedges) = sum deg(w)^2 — at web scale cap hub
     centers with max_center_degree (drops their wedges, a documented
     approximation; default None = exact)."""
-    import ray.data as rd
-
-    from .ranking import global_top_n
-    from .joins import exchange_reduce
-
     sym = _sym_simple_edges(edges_ds, src_col, dst_col, num_buckets)
 
     def wedges(batch: pa.Table) -> pa.Table:
@@ -1611,54 +1312,14 @@ def bfs_landmarks(
     `landmarks` is a bounded curated list by definition (the seed
     list, a trust list): k multiplies per-node state, so keep it
     O(tens) — broadcast once via ray.put as url -> index."""
-    import ray.data as rd
-
-    from .joins import exchange_reduce
-
     landmarks = list(landmarks)
     if not landmarks:
         raise ValueError("bfs_landmarks needs a non-empty landmark list")
     if len(set(landmarks)) != len(landmarks):
         raise ValueError("duplicate landmark urls")
 
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        out = batch.select([src_col, dst_col])
-        return out.append_column(
-            "__bucket",
-            pa.array(_bucket_ids(out[src_col].to_pylist(), num_buckets)),
-        )
-
-    edges_empty = pa.table(
-        {src_col: pa.array([], pa.string()),
-         dst_col: pa.array([], pa.string())}
-    )
-    edges = exchange_reduce(
-        edges_ds.map_batches(tag_edges, batch_format="pyarrow"),
-        lambda t: t.select([src_col, dst_col]), edges_empty, num_buckets,
-    ).materialize()
-
-    def node_rows(batch: pa.Table) -> pa.Table:
-        vs = list(
-            dict.fromkeys(
-                batch[src_col].to_pylist() + batch[dst_col].to_pylist()
-            )
-        )
-        return pa.table(
-            {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
-        )
-
-    nodes_empty = pa.table({"url": pa.array([], pa.string())})
-    nodes = exchange_reduce(
-        edges.map_batches(node_rows, batch_format="pyarrow"),
-        lambda t: pa.table(
-            {"url": pa.array(sorted(set(t["url"].to_pylist())), pa.string())}
-        ),
-        nodes_empty, num_buckets,
-    ).materialize()
-
-    es_refs = _bucket_refs(edges, num_buckets)
-    node_refs = _bucket_refs(nodes, num_buckets)
+    es_refs = _edge_blocks(edges_ds, src_col, src_col, dst_col, num_buckets)
+    node_refs = _node_blocks(es_refs, src_col, dst_col, num_buckets)
     lm_map_ref = ray.put({u: i for i, u in enumerate(landmarks)})
 
     dist_refs = [
@@ -1789,8 +1450,8 @@ def scc_coloring(
          with c). Settled nodes drop out; repeat.
 
     Distribution shape (bfs_landmarks precedent): edges exchanged
-    ONCE into a src-bucketed copy (forward waves) and once into a
-    dst-bucketed copy (backward waves); node blocks and all per-node
+    ONCE into a src-bucketed copy (forward waves), which is re-bucketed
+    into a dst-bucketed copy (backward waves); node blocks and all per-node
     state (color / scc / delta masks) are bucket-ALIGNED object-store
     arrays. Every fixpoint iteration is two raw task waves with
     DELTA propagation (only nodes whose state changed last wave
@@ -1800,55 +1461,9 @@ def scc_coloring(
     tendrils settle in the first rounds); each round settles >=1
     whole SCC per color class, so termination is certain.
     """
-    import ray.data as rd
-
-    from .joins import exchange_reduce
-
-    def tag_by_col(col):
-        def f(batch: pa.Table) -> pa.Table:
-            out = batch.select([src_col, dst_col])
-            return out.append_column(
-                "__bucket",
-                pa.array(_bucket_ids(out[col].to_pylist(), num_buckets)),
-            )
-        return f
-
-    edges_empty = pa.table(
-        {src_col: pa.array([], pa.string()),
-         dst_col: pa.array([], pa.string())}
-    )
-    fwd = exchange_reduce(
-        edges_ds.map_batches(tag_by_col(src_col), batch_format="pyarrow"),
-        lambda t: t.select([src_col, dst_col]), edges_empty, num_buckets,
-    ).materialize()
-    rev = exchange_reduce(
-        edges_ds.map_batches(tag_by_col(dst_col), batch_format="pyarrow"),
-        lambda t: t.select([src_col, dst_col]), edges_empty, num_buckets,
-    ).materialize()
-
-    def node_rows(batch: pa.Table) -> pa.Table:
-        vs = list(
-            dict.fromkeys(
-                batch[src_col].to_pylist() + batch[dst_col].to_pylist()
-            )
-        )
-        return pa.table(
-            {"url": pa.array(vs, pa.string()),
-             "__bucket": pa.array(_bucket_ids(vs, num_buckets))}
-        )
-
-    nodes_empty = pa.table({"url": pa.array([], pa.string())})
-    nodes = exchange_reduce(
-        fwd.map_batches(node_rows, batch_format="pyarrow"),
-        lambda t: pa.table(
-            {"url": pa.array(sorted(set(t["url"].to_pylist())), pa.string())}
-        ),
-        nodes_empty, num_buckets,
-    ).materialize()
-
-    fwd_refs = _bucket_refs(fwd, num_buckets)
-    rev_refs = _bucket_refs(rev, num_buckets)
-    node_refs = _bucket_refs(nodes, num_buckets)
+    fwd_refs = _edge_blocks(edges_ds, src_col, src_col, dst_col, num_buckets)
+    rev_refs = _edge_blocks(fwd_refs, dst_col, src_col, dst_col, num_buckets)
+    node_refs = _node_blocks(fwd_refs, src_col, dst_col, num_buckets)
 
     scc_refs = [_scc_blank.remote(nb) for nb in node_refs]
     n_active = sum(ray.get([_scc_n_active.remote(s) for s in scc_refs]))
@@ -1949,8 +1564,6 @@ def scc_coloring(
         )
 
     sizes = exchange_reduce(per_node, count_sizes, sizes_empty, num_buckets)
-    from .joins import hash_join
-
     out = hash_join(
         per_node.map_batches(
             lambda t: t.select(["url", "scc_id"]), batch_format="pyarrow"

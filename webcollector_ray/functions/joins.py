@@ -84,10 +84,15 @@ def exchange_reduce(ds, reduce_fn, empty: pa.Table, num_buckets: int,
     (pa.Table -> pa.Table) in one task. Replaces Ray Data's sort-based
     groupby where the sort's ~0.1 s fixed cost per input block
     (sampling + per-block sort + merge tasks) dominates wall time;
-    output is capped at num_buckets blocks."""
+    output is capped at num_buckets blocks.
+
+    `ds` is materialized first: in Ray 2.49 to_arrow_refs() on a plan
+    that has not run executes it, then asks for its schema, and an
+    unknown schema costs a second, limit(1) execution of the same plan
+    (its map_batches included), abandoned once one block arrives."""
     import ray.data as rd
 
-    blocks = list(ds.to_arrow_refs())
+    blocks = list(ds.materialize().to_arrow_refs())
     if not blocks:
         return rd.from_arrow(empty)
     split_refs = fan_out_grouped(
@@ -208,6 +213,8 @@ def hash_join(
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
     ron = right_on or on
+    # materialized first, so schema() does not run a limit(1) execution
+    left, right = left.materialize(), right.materialize()
     lschema, rschema = left.schema(), right.schema()
     left_cols = list(lschema.names)
     right_cols = list(rschema.names)

@@ -64,12 +64,6 @@ def _hash_bytes(seeds: np.ndarray, n: int) -> np.ndarray:
     return (_hash_stream(seeds, n) >> np.uint64(56)).astype(np.uint8)
 
 
-def _fake_decode(payload: bytes, h: int, w: int, c: int = 3) -> np.ndarray:
-    """Deterministic pseudo-pixels from the payload's hex digest."""
-    seed = np.array([_seed64((payload or b"").hex())], dtype=np.uint64)
-    return _hash_bytes(seed, h * w * c).reshape(h, w, c)
-
-
 class DecodeStage:
     """payload -> pixels (flattened) + shape columns.
 

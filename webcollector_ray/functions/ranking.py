@@ -61,7 +61,8 @@ def global_top_n(
         return cat.take(pc.sort_indices(cat, sort_keys=keys).slice(0, n))
 
     local = ds.map_batches(local_topn, batch_format="pyarrow")
-    out_ref = final_reduce.remote(*local.to_arrow_refs())
+    # materialized first: no limit(1) schema probe re-running the map
+    out_ref = final_reduce.remote(*local.materialize().to_arrow_refs())
     out = ray.get(out_ref)
     if out is None:
         # all-empty input: recover the schema (plain .schema() can be

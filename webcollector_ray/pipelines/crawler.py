@@ -509,7 +509,9 @@ class Crawler:
                         generated = self._route_by_store_bucket(
                             generated, store_handle["num_buckets"]
                         )
-                    blocks = generated.to_arrow_refs()
+                    # materialized first: to_arrow_refs on a lazy plan
+                    # re-runs it (the sort too) under limit(1) for the schema
+                    blocks = generated.materialize().to_arrow_refs()
 
                 # 3. execute: one raw task per block runs fetch + visit and
                 # splits its output into fetch rows, tallies (A3) and link

@@ -328,15 +328,6 @@ def synth_pages_table(spec: Optional[SynthSpec] = None) -> pa.Table:
     return rows_to_table([page_row(spec, g) for g in range(spec.total_pages)])
 
 
-def synth_pages_batches(
-    spec: SynthSpec, gids: "pa.Array | List[int]"
-) -> pa.Table:
-    """Shard-parallel generation: rows for a batch of global page ids —
-    used inside ray.data.range(total).map_batches for bench-scale tables."""
-    ids = gids.to_pylist() if hasattr(gids, "to_pylist") else list(gids)
-    return rows_to_table([page_row(spec, g) for g in ids])
-
-
 def spec_for_scale(n_docs: int) -> SynthSpec:
     """Scale the synthetic web off a driver table's row count, so crawl
     queries grow with sf: ~1 site per 100 documents."""

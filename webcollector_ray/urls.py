@@ -192,7 +192,3 @@ def url_hash64(key: str) -> int:
     return int.from_bytes(
         hashlib.md5(key.encode("utf-8")).digest()[:8], "big"
     ) & 0x7FFF_FFFF_FFFF_FFFF
-
-
-def bucket_of(key: str, num_buckets: int) -> int:
-    return url_hash64(key) % num_buckets
