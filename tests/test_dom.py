@@ -221,3 +221,16 @@ def test_comment_before_content_parks_in_head():
     # the comment must not flip the parser into body mode
     assert d.body().text() == "hi"
     assert "<!-- a -->" in d.head().outer_html()
+
+
+def test_outer_html_around_equals_outer_html():
+    """An ancestor's serialisation built around its child's equals its
+    own outer_html(), up to the Document (doctype included)."""
+    d = dom.parse("<!DOCTYPE html>" + HTML.replace("<b>", "<!-- c --><b x='&amp;'>"))
+    for el in d.elements():
+        inner = el.outer_html()
+        p = el.parent
+        while p is not None:
+            inner = p.outer_html_around(el, inner)
+            assert inner == p.outer_html(), (el.tag, p.tag)
+            el, p = p, p.parent

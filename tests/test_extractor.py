@@ -118,3 +118,29 @@ def test_lcs_and_sim():
     assert ContentExtractor._str_sim("", "x") == 0.0
     assert ContentExtractor._str_sim("ab", "abababab") == 0.0  # ratio >= 3
     assert ContentExtractor._str_sim("abc", "abc") == 1.0
+
+
+def test_bit_parallel_lcs_matches_dp():
+    """_lcs equals the textbook LCS DP on seeded random pairs: short and
+    long (above 64x64), empty, non-ASCII, small and large alphabets."""
+    import random
+
+    def dp(x, y):
+        prev = [0] * (len(y) + 1)
+        for xi in x:
+            cur = [0]
+            for j, yj in enumerate(y):
+                cur.append(prev[j] + 1 if xi == yj else max(prev[j + 1], cur[j]))
+            prev = cur
+        return prev[-1]
+
+    rng = random.Random(3000)
+    alphabets = ["ab", "abcdefgh", "abc éü中文", "Quick brown fox news 2016"]
+    for _ in range(3000):
+        alpha = rng.choice(alphabets)
+        top = rng.choice([5, 40, 150])
+        x = "".join(rng.choice(alpha) for _ in range(rng.randint(0, top)))
+        y = "".join(rng.choice(alpha) for _ in range(rng.randint(0, top)))
+        assert ContentExtractor._lcs(x, y) == dp(x, y), (x, y)
+    assert ContentExtractor._lcs("", "abc") == ContentExtractor._lcs("abc", "") == 0
+    assert ContentExtractor._lcs("x" * 100, "x" * 70) == 70

@@ -21,6 +21,11 @@ def test_row_for_url_matches_table():
         assert row["html"] == table["html"][i].as_py()
         assert row["code"] == table["code"][i].as_py()
         assert row["location"] == table["location"][i].as_py()
+        assert row["text"] == table["text"][i].as_py()
+        # a fetch skips only the golden text
+        lean = row_for_url(spec, url, text=False)
+        assert lean["text"] is None
+        assert {**lean, "text": row["text"]} == row
 
 
 def test_row_for_url_no_route():

@@ -3,9 +3,17 @@
 The reference relies on Jsoup (model/Page.java:403-416 `doc()`,
 model/Links.java link extraction, contentextractor/ContentExtractor.java
 CEPF scoring) — none of the Python HTML parser libraries are available
-in this environment, so this module implements the needed subset on top
-of html.parser:
+in this environment, so this module implements the needed subset:
 
+- one tokenizer for every consumer (`tokenize`: the tree builder here,
+  links.fast_links_by_regex's no-DOM link scan): a compiled master
+  regex over a strict grammar (text, start tags with quoted, bare or
+  valueless attributes and `/>`, end tags, comments, DOCTYPE,
+  processing instructions, raw script/style bodies, entities decoded by
+  html.unescape). A document holding anything outside that grammar is
+  re-tokenized whole by html.parser, whose event stream is the
+  reference semantics: both paths give the same events, so `parse`
+  builds the same tree for every input;
 - html/head/body normalization, void elements, basic auto-closing
   (p/li/tr/td/dt/dd/option), entity decoding;
 - Jsoup-style whitespace-normalized `text()` (block-tag and <br>
@@ -33,8 +41,8 @@ on `Document.doctype` and re-emitted by `Document.outer_html()`.
 from __future__ import annotations
 
 import re
+from html import escape, unescape
 from html.parser import HTMLParser
-from html import escape
 from typing import Callable, Iterator, List, Optional
 
 from .urls import abs_url
@@ -74,6 +82,7 @@ _SELF_CLOSERS = {
     "option": ("option",),
 }
 _HEAD_TAGS = frozenset("title meta link base style".split())
+_AUTOCLOSERS = _P_CLOSERS | frozenset(_SELF_CLOSERS)
 
 
 def normalise_whitespace(s: str) -> str:
@@ -93,7 +102,7 @@ class TextNode(Node):
     __slots__ = ("raw",)
 
     def __init__(self, raw: str):
-        super().__init__()
+        self.parent = None
         self.raw = raw
 
     def text(self) -> str:
@@ -125,14 +134,13 @@ class CommentNode(Node):
 
 
 class Element(Node):
-    __slots__ = ("tag", "attrs", "children", "_doc")
+    __slots__ = ("tag", "attrs", "children")
 
     def __init__(self, tag: str, attrs: Optional[dict] = None):
-        super().__init__()
+        self.parent = None
         self.tag = tag
         self.attrs: dict = attrs or {}
         self.children: List[Node] = []
-        self._doc: Optional["Document"] = None
 
     # --- tree ---
     def append(self, node: Node) -> None:
@@ -161,6 +169,22 @@ class Element(Node):
             else:
                 stack.pop()
 
+    def elements(self) -> Iterator["Element"]:
+        """This element (unless it is the Document) and every descendant
+        element, in document order: the candidates `select` tests."""
+        if not isinstance(self, Document):
+            yield self
+        stack = [iter(self.children)]
+        while stack:
+            for c in stack[-1]:
+                if isinstance(c, Element):
+                    yield c
+                    if c.children:
+                        stack.append(iter(c.children))
+                        break
+            else:
+                stack.pop()
+
     def traverse(self, head: Callable[[Node, int], None], depth: int = 0) -> None:
         """Head-order node visitor (Jsoup NodeTraversor.head equivalent)."""
         head(self, depth)
@@ -176,7 +200,7 @@ class Element(Node):
             if isinstance(n, Document):
                 return n
             n = n.parent
-        return self._doc
+        return None
 
     # --- attributes ---
     def attr(self, name: str) -> str:
@@ -246,7 +270,16 @@ class Element(Node):
             _node_html(c, buf)
         return "".join(buf)
 
-    def _html(self, buf: List[str]) -> None:
+    def outer_html_around(self, child: Node, child_html: str) -> str:
+        """outer_html(), given `child_html`, the outer_html() of one of
+        this element's children: an ancestor walk serialises each node
+        once."""
+        buf: List[str] = []
+        self._html(buf, child, child_html)
+        return "".join(buf)
+
+    def _html(self, buf: List[str], child: Optional[Node] = None,
+              child_html: str = "") -> None:
         buf.append("<")
         buf.append(self.tag)
         for k, v in self.attrs.items():
@@ -255,7 +288,16 @@ class Element(Node):
         if self.tag in VOID_TAGS:
             return
         for c in self.children:
-            _node_html(c, buf)
+            if c is child:
+                buf.append(child_html)
+            elif type(c) is TextNode:
+                raw = c.raw  # escape(raw, quote=False) without the call
+                buf.append(
+                    escape(raw, quote=False)
+                    if "&" in raw or "<" in raw or ">" in raw else raw
+                )
+            else:
+                _node_html(c, buf)
         buf.append(f"</{self.tag}>")
 
     # --- select ---
@@ -315,13 +357,17 @@ class Document(Element):
         self.base_uri = base_uri
         self.doctype: str = ""  # raw decl text, e.g. "DOCTYPE html"
 
-    def _html(self, buf: List[str]) -> None:
+    def _html(self, buf: List[str], child: Optional[Node] = None,
+              child_html: str = "") -> None:
         # serialize without the synthetic #document wrapper (Jsoup
         # Document.outerHtml = doctype + children)
         if self.doctype:
             buf.append(f"<!{self.doctype}>")
         for c in self.children:
-            _node_html(c, buf)
+            if c is child:
+                buf.append(child_html)
+            else:
+                _node_html(c, buf)
 
     def html_el(self) -> Element:
         for c in self.child_elements():
@@ -342,16 +388,24 @@ class Document(Element):
         raise ValueError("no body")
 
     def title(self) -> str:
-        t = self.select_first("title")
-        return t.text().strip() if t is not None else ""
+        for t in self.elements():
+            if t.tag == "title":
+                return t.text().strip()
+        return ""
 
 
 # ---------------------------------------------------------------- parser
 
 
-class _TreeBuilder(HTMLParser):
+class _TreeBuilder:
+    """Tree construction from a tag/text event stream. Both tokenizers
+    below feed it the same events: `start(tag, attrs, self_closing)`
+    with a lowercase tag and a first-wins {lowercase name: value}
+    dict (a valueless attribute has value ""), `end(tag)`,
+    `data(text)` with entities decoded outside script/style,
+    `comment(text)` and `decl(text)`."""
+
     def __init__(self, base_uri: str = ""):
-        super().__init__(convert_charrefs=True)
         self.doc = Document(base_uri)
         self.html = Element("html")
         self.doc.append(self.html)
@@ -377,82 +431,228 @@ class _TreeBuilder(HTMLParser):
         if closers and self.stack and self.stack[-1].tag in closers:
             self.stack.pop()
 
-    def handle_starttag(self, tag, attrs):
-        tag = tag.lower()
-        if tag == "html":
-            for k, v in attrs:
-                self.html.attrs.setdefault(k.lower(), v if v is not None else "")
+    def start(self, tag: str, attrs: dict, self_closing: bool) -> None:
+        if tag == "html" or tag == "body":
+            if tag == "body":
+                self.in_body = True
+            target = self.html.attrs if tag == "html" else self.body_el.attrs
+            for k, v in attrs.items():
+                target.setdefault(k, v)
             return
         if tag == "head":
             return
-        if tag == "body":
+        if not self.in_body and tag not in _HEAD_TAGS:
             self.in_body = True
-            for k, v in attrs:
-                self.body_el.attrs.setdefault(k.lower(), v if v is not None else "")
-            return
-        if not self.in_body and tag not in _HEAD_TAGS and tag != "title":
-            self.in_body = True
-        attr_dict: dict = {}
-        for k, v in attrs:
-            k = k.lower()
-            if k not in attr_dict:
-                attr_dict[k] = v if v is not None else ""
-        self._autoclose(tag)
-        el = Element(tag, attr_dict)
-        self._cur().append(el)
-        if tag not in VOID_TAGS:
+        if tag in _AUTOCLOSERS:
+            self._autoclose(tag)
+        el = Element(tag, attrs)
+        cur = self._cur()
+        el.parent = cur
+        cur.children.append(el)
+        if tag not in VOID_TAGS and not self_closing:
             self.stack.append(el)
 
-    def handle_startendtag(self, tag, attrs):
-        tag_l = tag.lower()
-        self.handle_starttag(tag, attrs)
-        if tag_l not in VOID_TAGS and tag_l not in ("html", "head", "body"):
-            if self.stack and self.stack[-1].tag == tag_l:
-                self.stack.pop()
-
-    def handle_endtag(self, tag):
-        tag = tag.lower()
-        if tag in ("html", "body"):
+    def end(self, tag: str) -> None:
+        if tag == "html" or tag == "body":
             return
         if tag == "head":
             self.in_body = True
             return
-        for i in range(len(self.stack) - 1, -1, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
+        stack = self.stack
+        for i in range(len(stack) - 1, -1, -1):
+            if stack[i].tag == tag:
+                del stack[i:]
                 return
         # unmatched end tag: ignore
 
-    def handle_comment(self, data):
+    def comment(self, data: str) -> None:
         # comments never flip head->body (they are metadata-transparent)
         if not self.stack and not self.in_body:
             self.head_el.append(CommentNode(data))
         else:
             self._cur().append(CommentNode(data))
 
-    def handle_decl(self, decl):
+    def decl(self, decl: str) -> None:
         if decl.strip().lower().startswith("doctype"):
             self.doc.doctype = decl
 
-    def handle_data(self, data):
-        if not self.stack and not self.in_body:
+    def data(self, data: str) -> None:
+        if self.stack:
+            cur = self.stack[-1]
+        elif self.in_body:
+            cur = self.body_el
+            if not cur.children and not data.strip():
+                return
+        else:
             # structural whitespace before/inside head
             if data.strip():
                 self.in_body = True
                 self.body_el.append(TextNode(data))
-            elif self.head_el.children:
-                pass  # drop whitespace directly in head
-            return
-        cur = self._cur()
-        if cur in (self.body_el, self.head_el) and not data.strip() and not cur.children:
-            return
-        cur.append(TextNode(data))
+            return  # drop whitespace directly in head
+        node = TextNode(data)
+        node.parent = cur
+        cur.children.append(node)
+
+
+# One token of the strict grammar the fast tokenizer accepts. Every
+# construct it matches, html.parser (convert_charrefs=True, the whole
+# document fed at once) reads as the same single event with the same
+# text-chunk boundaries; anything else makes `_tokenize` give up.
+# Whitespace inside tags is ASCII only, since html.parser's tag-name
+# rule stops at [\t\n\r\f /] but its attribute rules at any \s.
+_WS = r"[ \t\n\r\f]"
+
+
+def _attr_pattern(g: str) -> str:
+    """One attribute: name, then optionally = and a double-quoted,
+    single-quoted or bare value. `g` opens the name and value groups:
+    "(" to capture them, "(?:" not to."""
+    return (
+        g + r"[a-zA-Z_:@][-a-zA-Z0-9_:.@]*+)"
+        r"(?:" + _WS + r"*+=" + _WS + r"*+"
+        r'(?:"' + g + r'[^"]*+)"'
+        r"|'" + g + r"[^']*+)'"
+        r"|" + g + r"""[^\s>"'=][^\s>]*+)))?"""
+    )
+
+
+_TOKEN = re.compile(
+    r"([^<]++)"  # 1 text
+    r"|<([a-zA-Z][-a-zA-Z0-9]*+)"  # 2 start tag name
+    r"((?:" + _WS + r"++" + _attr_pattern("(?:") + r")*+)"  # 3 attributes
+    + _WS + r"*+(/?)>"  # 4 the "/" of "/>"
+    r"|</([a-zA-Z][-.a-zA-Z0-9:_]*+)" + _WS + r"*+>"  # 5 end tag
+    r"|<!--([\s\S]*?)--\s*>"  # 6 comment
+    r"|<!([dD][oO][cC][tT][yY][pP][eE][^>]*+)>"  # 7 doctype
+    r"|<\?[^>]*+>"  # processing instruction: no event
+    r"|<(?![a-zA-Z/!?])"  # a "<" that opens nothing: text "<"
+)
+_ATTR_RE = re.compile(_WS + r"++" + _attr_pattern("("))
+# html.parser's end of a script/style body (HTMLParser.set_cdata_mode)
+_RAW_END = {
+    t: re.compile(r"</\s*%s\s*>" % t, re.I) for t in ("script", "style")
+}
+
+
+def _tokenize(html: str, sink) -> bool:
+    """Feed `html` to `sink` as html.parser's event stream. Returns
+    False, part-way, at the first byte outside the grammar; the caller
+    then starts over on `_tokenize_reference` with a fresh sink."""
+    start, end, data = sink.start, sink.end, sink.data
+    n = len(html)
+    pos = 0
+    scan = _TOKEN.scanner(html).match
+    while pos < n:
+        m = scan()
+        if m is None:
+            return False
+        pos = m.end()
+        k = m.lastindex
+        if k == 1:
+            text = m[1]
+            data(unescape(text) if "&" in text else text)
+        elif k == 4:
+            tag = m[2].lower()
+            attrs: dict = {}
+            if m[3]:
+                for name, dq, sq, bare in _ATTR_RE.findall(m[3]):
+                    name = name.lower()
+                    if name not in attrs:
+                        v = dq or sq or bare
+                        attrs[name] = unescape(v) if "&" in v else v
+            closed = m[4] == "/"
+            start(tag, attrs, closed)
+            if tag in _RAW_END and not closed:
+                # raw text up to html.parser's end-tag rule; a case-folded
+                # non-ASCII match (U+017F for "s") is no end tag to
+                # html.parser's endtagfind, so leave that one to it
+                e = _RAW_END[tag].search(html, pos)
+                if e is None or not e.group().isascii():
+                    return False
+                if e.start() > pos:
+                    data(html[pos:e.start()])
+                end(tag)
+                pos = e.end()
+                scan = _TOKEN.scanner(html, pos).match
+        elif k == 5:
+            end(m[5].lower())
+        elif k == 6:
+            sink.comment(m[6])
+        elif k == 7:
+            sink.decl(m[7])
+        elif m[0] == "<":
+            data("<")
+    return True
+
+
+class _ReferenceTokenizer(HTMLParser):
+    """html.parser driving a sink: the reference semantics, and the
+    fallback for documents outside `_TOKEN`'s grammar."""
+
+    def __init__(self, sink):
+        super().__init__(convert_charrefs=True)
+        self._sink = sink
+
+    @staticmethod
+    def _attrs(attrs) -> dict:
+        out: dict = {}
+        for k, v in attrs:
+            k = k.lower()
+            if k not in out:
+                out[k] = v if v is not None else ""
+        return out
+
+    def handle_starttag(self, tag, attrs):
+        self._sink.start(tag.lower(), self._attrs(attrs), False)
+
+    def handle_startendtag(self, tag, attrs):
+        self._sink.start(tag.lower(), self._attrs(attrs), True)
+
+    def handle_endtag(self, tag):
+        self._sink.end(tag.lower())
+
+    def handle_data(self, data):
+        self._sink.data(data)
+
+    def handle_comment(self, data):
+        self._sink.comment(data)
+
+    def handle_decl(self, decl):
+        self._sink.decl(decl)
+
+
+def _tokenize_reference(html: str, sink) -> None:
+    p = _ReferenceTokenizer(sink)
+    p.feed(html)
+    p.close()
+
+
+def tokenize(html: str, new_sink: Callable[[], object]):
+    """Run a fresh `new_sink()` over `html`'s event stream: the fast
+    tokenizer, or html.parser when the document leaves its grammar.
+    Returns the sink that saw the whole document."""
+    sink = new_sink()
+    if _tokenize(html, sink):
+        return sink
+    sink = new_sink()
+    _tokenize_reference(html, sink)
+    return sink
 
 
 def parse(html: str, base_uri: str = "") -> Document:
+    return tokenize(html or "", lambda: _TreeBuilder(base_uri)).doc
+
+
+def parse_fast(html: str, base_uri: str = "") -> Optional[Document]:
+    """The fast tokenizer's tree, or None when it rejects the document."""
     tb = _TreeBuilder(base_uri)
-    tb.feed(html or "")
-    tb.close()
+    return tb.doc if _tokenize(html or "", tb) else None
+
+
+def parse_reference(html: str, base_uri: str = "") -> Document:
+    """The tree html.parser's event stream builds."""
+    tb = _TreeBuilder(base_uri)
+    _tokenize_reference(html or "", tb)
     return tb.doc
 
 
@@ -706,11 +906,9 @@ def _split_groups(css: str) -> List[str]:
 def _select(root: Element, css: str, include_self: bool = True) -> List[Element]:
     chains = [_parse_selector(part) for part in _split_groups(css) if part.strip()]
     out: List[Element] = []
-    candidates: List[Element] = []
-    if include_self and isinstance(root, Element) and not isinstance(root, Document):
-        candidates.append(root)
-    candidates.extend(n for n in root.descendants() if isinstance(n, Element))
-    for el in candidates:
+    for el in root.elements():
+        if el is root and not include_self:
+            continue
         for chain in chains:
             if _matches_chain(el, chain, root):
                 out.append(el)

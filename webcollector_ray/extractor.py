@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from . import dom
-from .dom import Document, Element, Node, TextNode
+from .dom import Document, Element, TextNode
 
 
 @dataclass
@@ -56,21 +56,23 @@ class _CountInfo:
         "link_tag_count",
         "density",
         "density_sum",
-        "score",
         "p_count",
-        "leaf_list",
+        "leaf_start",
+        "leaf_end",
     )
 
-    def __init__(self):
+    def __init__(self, leaf_start: int):
         self.text_count = 0
         self.link_text_count = 0
         self.tag_count = 0
         self.link_tag_count = 0
         self.density = 0.0
         self.density_sum = 0.0
-        self.score = 0.0
         self.p_count = 0
-        self.leaf_list: List[int] = []
+        # the element's leafList: leaves[leaf_start:leaf_end], the
+        # whitespace-normalised lengths of its text nodes in document order
+        self.leaf_start = leaf_start
+        self.leaf_end = leaf_start
 
 
 _TIME_RE = re.compile(
@@ -80,49 +82,94 @@ _TIME_RE = re.compile(
 _DATE_RE = re.compile(
     r"([1-2][0-9]{3})[^0-9]{1,5}?([0-1]?[0-9])[^0-9]{1,5}?([0-9]{1,2})"
 )
-_H_RE = re.compile(r"h[1-6]")
+_H_TAGS = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
+
+
+_CLEAN_TAGS = frozenset(("script", "noscript", "style", "iframe", "br"))
 
 
 class ContentExtractor:
     def __init__(self, doc: Document):
         self.doc = doc
         self.info_map: Dict[int, _CountInfo] = {}
-        self._elems: List[Element] = []  # document order of scored elements
+        self._elems: List[Element] = []  # post-order of scored elements
+        self._leaves: List[int] = []  # see _CountInfo.leaf_start
 
     def _clean(self) -> None:
-        self.doc.select("script,noscript,style,iframe,br").remove()
+        # doc.select("script,noscript,style,iframe,br").remove(), as one
+        # walk by tag: a removed element's subtree leaves with it
+        stack = [self.doc]
+        while stack:
+            el = stack.pop()
+            dirty = False
+            for c in el.children:
+                if type(c) is Element:
+                    if c.tag in _CLEAN_TAGS:
+                        dirty = True
+                    elif c.children:
+                        stack.append(c)
+            if dirty:
+                keep = []
+                for c in el.children:
+                    if type(c) is Element and c.tag in _CLEAN_TAGS:
+                        c.parent = None
+                    else:
+                        keep.append(c)
+                el.children = keep
 
-    def _compute_info(self, node: Node) -> _CountInfo:
-        if isinstance(node, Element):
-            info = _CountInfo()
-            for child in node.children:
-                ci = self._compute_info(child)
-                info.text_count += ci.text_count
-                info.link_text_count += ci.link_text_count
-                info.tag_count += ci.tag_count
-                info.link_tag_count += ci.link_tag_count
-                info.leaf_list.extend(ci.leaf_list)
-                info.density_sum += ci.density
-                info.p_count += ci.p_count
-            info.tag_count += 1
-            if node.tag == "a":
-                info.link_text_count = info.text_count
-                info.link_tag_count += 1
-            elif node.tag == "p":
-                info.p_count += 1
-            pure_len = info.text_count - info.link_text_count
-            n_tags = info.tag_count - info.link_tag_count
-            info.density = 0.0 if (pure_len == 0 or n_tags == 0) else pure_len / n_tags
-            self.info_map[id(node)] = info
-            self._elems.append(node)
-            return info
-        if isinstance(node, TextNode):
-            info = _CountInfo()
-            length = len(node.text())
-            info.text_count = length
-            info.leaf_list.append(length)
-            return info
-        return _CountInfo()
+    def _compute_info(self, root: Element) -> None:
+        """computeInfo (:73-120) for root and every element under it, in
+        one iterative post-order pass; each element's sums take its
+        children in document order, as the reference's recursion does."""
+        leaves = self._leaves
+        info_map = self.info_map
+        elems = self._elems
+        ws_run = dom._WS_RUN
+        root_info = _CountInfo(len(leaves))
+        stack = [(root, root_info, iter(root.children))]
+        while stack:
+            el, info, it = stack[-1]
+            for child in it:
+                t = type(child)
+                if t is TextNode:
+                    raw = child.raw
+                    # len(child.text()); only a run of two or more
+                    # whitespace chars, or one that is not " ", changes it
+                    if ("  " in raw or "\n" in raw or "\t" in raw
+                            or "\r" in raw or "\f" in raw):
+                        n = len(ws_run.sub(" ", raw))
+                    else:
+                        n = len(raw)
+                    info.text_count += n
+                    leaves.append(n)
+                elif t is Element:
+                    ci = _CountInfo(len(leaves))
+                    stack.append((child, ci, iter(child.children)))
+                    break
+            else:
+                stack.pop()
+                info.tag_count += 1
+                if el.tag == "a":
+                    info.link_text_count = info.text_count
+                    info.link_tag_count += 1
+                elif el.tag == "p":
+                    info.p_count += 1
+                pure_len = info.text_count - info.link_text_count
+                n_tags = info.tag_count - info.link_tag_count
+                info.density = (
+                    0.0 if (pure_len == 0 or n_tags == 0) else pure_len / n_tags
+                )
+                info.leaf_end = len(leaves)
+                info_map[id(el)] = info
+                elems.append(el)
+                if stack:
+                    parent = stack[-1][1]
+                    parent.text_count += info.text_count
+                    parent.link_text_count += info.link_text_count
+                    parent.tag_count += info.tag_count
+                    parent.link_tag_count += info.link_tag_count
+                    parent.density_sum += info.density
+                    parent.p_count += info.p_count
 
     @staticmethod
     def _var(data: List[int]) -> float:
@@ -135,7 +182,11 @@ class ContentExtractor:
 
     def _score(self, el: Element) -> float:
         info = self.info_map[id(el)]
-        var = math.sqrt(self._var(info.leaf_list) + 1)
+        if info.density_sum == 0 or info.text_count == info.link_text_count:
+            return 0.0  # a zero factor: never beats the running max
+        var = math.sqrt(
+            self._var(self._leaves[info.leaf_start:info.leaf_end]) + 1
+        )
         return (
             math.log(var)
             * info.density_sum
@@ -178,7 +229,9 @@ class ContentExtractor:
         return news
 
     # ---- time/date (:200-260): climb 2 parents, then scan 6 ancestors ----
-    def _walk_scan(self, content_element: Element, pattern: re.Pattern, fmt) -> str:
+    def _scan_chain(self, content_element: Element) -> List[Element]:
+        """The distinct elements the ancestor walk scans, innermost
+        first: each is the parent of the one before."""
         body = self.doc.body()
         current: Optional[Element] = content_element
         for _ in range(2):
@@ -186,27 +239,48 @@ class ContentExtractor:
                 parent = current.parent
                 if parent is not None:
                     current = parent
+        chain: List[Element] = []
         for _ in range(6):
             if current is None:
                 break
-            m = pattern.search(current.outer_html())
-            if m:
-                return fmt(m)
+            if not chain or chain[-1] is not current:
+                chain.append(current)
             if current is not body:
                 current = current.parent
+        return chain
+
+    @staticmethod
+    def _walk_scan(chain: List[Element], htmls: List[str],
+                   pattern: re.Pattern, fmt) -> str:
+        # The reference regex-scans each ancestor's re-serialised HTML
+        # (:216). htmls[i] is chain[i].outer_html(), built on first use
+        # by wrapping htmls[i - 1], and shared by the time and date walks.
+        for i, el in enumerate(chain):
+            if i == len(htmls):
+                htmls.append(
+                    el.outer_html() if i == 0
+                    else el.outer_html_around(chain[i - 1], htmls[i - 1])
+                )
+            m = pattern.search(htmls[i])
+            if m:
+                return fmt(m)
         raise ValueError("not found")
 
     def _get_time(self, content_element: Element) -> str:
+        chain = self._scan_chain(content_element)
+        htmls: List[str] = []
         try:
             return self._walk_scan(
-                content_element,
+                chain,
+                htmls,
                 _TIME_RE,
                 lambda m: f"{m.group(1)}-{m.group(2)}-{m.group(3)} "
                 f"{m.group(4)}:{m.group(5)}:{m.group(6)}",
             )
         except ValueError:
             return self._walk_scan(
-                content_element,
+                chain,
+                htmls,
                 _DATE_RE,
                 lambda m: f"{m.group(1)}-{m.group(2)}-{m.group(3)}",
             )
@@ -214,39 +288,21 @@ class ContentExtractor:
     # ---- title (:262-374) ----
     @staticmethod
     def _lcs(x: str, y: str) -> int:
-        # LCS length (ContentExtractor.java:376-397 semantics).
-        # Vectorized row DP: cur[j+1] = max(prev[j+1], prev[j]+eq[j],
-        # cur[j]) — the cur[j] carry is a running max, so each row is
-        # one np.maximum + one np.maximum.accumulate.
-        m, n = len(x), len(y)
-        if m == 0 or n == 0:
+        # LCS length (ContentExtractor.java:376-397 semantics), by the
+        # bit-parallel recurrence of Allison & Dix (1986) / Hyyrö (2004):
+        # bit i of v is 0 where row y[:k]'s DP value steps up at x[i], so
+        # the LCS is the count of zero bits in the low len(x) bits.
+        if not x or not y:
             return 0
-        if m * n <= 4096:
-            # small-grid fast path: numpy per-row overhead exceeds the
-            # vectorization gain below ~64x64 (typical title lengths)
-            prev = [0] * (n + 1)
-            for i in range(m - 1, -1, -1):
-                cur = [0] * (n + 1)
-                xi = x[i]
-                for j in range(n - 1, -1, -1):
-                    if xi == y[j]:
-                        cur[j] = prev[j + 1] + 1
-                    else:
-                        pj, cj = prev[j], cur[j + 1]
-                        cur[j] = pj if pj >= cj else cj
-                prev = cur
-            return prev[0]
-        import numpy as _np
-
-        ya = _np.frombuffer(y.encode("utf-32-le"), dtype=_np.uint32)
-        prev = _np.zeros(n + 1, dtype=_np.int32)
-        for ch in x:
-            eq = ya == ord(ch)
-            cand = _np.maximum(prev[1:], prev[:-1] + eq)
-            prev = _np.concatenate(
-                ([0], _np.maximum.accumulate(cand))
-            ).astype(_np.int32, copy=False)
-        return int(prev[-1])
+        match: Dict[str, int] = {}
+        for i, ch in enumerate(x):
+            match[ch] = match.get(ch, 0) | (1 << i)
+        mask = (1 << len(x)) - 1
+        v = mask
+        for ch in y:
+            u = v & match.get(ch, 0)
+            v = ((v + u) | (v - u)) & mask
+        return len(x) - v.bit_count()
 
     @classmethod
     def _str_sim(cls, a: str, b: str) -> float:
@@ -263,22 +319,16 @@ class ContentExtractor:
         if meta_title:
             title_list: List[Element] = []
             title_sim: List[float] = []
-            content_index = [0]
-            done = [False]
-
-            def head(node: Node, _depth: int) -> None:
-                if done[0] or not isinstance(node, Element):
-                    return
+            index = 0
+            for node in self.doc.body().elements():
                 if node is content_element:
-                    content_index[0] = len(title_list)
-                    done[0] = True  # reference keeps traversing but only
-                    return          # titles before the content el matter
-                if _H_RE.fullmatch(node.tag):
+                    # the reference keeps traversing, but only titles
+                    # before the content element matter
+                    index = len(title_list)
+                    break
+                if node.tag in _H_TAGS:
                     title_sim.append(self._str_sim(node.text().strip(), meta_title))
                     title_list.append(node)
-
-            self.doc.body().traverse(head)
-            index = content_index[0]
             if index > 0:
                 max_score = 0.0
                 max_index = -1
@@ -290,32 +340,33 @@ class ContentExtractor:
                 if max_index != -1:
                     return title_list[max_index].text()
 
-        titles = self.doc.body().select(
-            "*[id^=title],*[id$=title],*[class^=title],*[class$=title]"
-        )
-        if titles:
-            title = titles.first().text()
-            if 5 < len(title) < 40:
-                return titles.first().text()
+        # first of body.select("*[id^=title],*[id$=title],*[class^=title],
+        # *[class$=title]")
+        for el in self.doc.body().elements():
+            if any(
+                (v := el.attrs.get(k)) is not None
+                and (v.startswith("title") or v.endswith("title"))
+                for k in ("id", "class")
+            ):
+                title = el.text()
+                if 5 < len(title) < 40:
+                    return title
+                break
         return self._get_title_by_text_sim(content_element)
 
     def _get_title_by_text_sim(self, _content_element: Element) -> str:
         meta_title = self.doc.title()
-        best = [0.0]
-        sb: List[str] = []
-
-        def head(node: Node, _depth: int) -> None:
+        best = 0.0
+        best_text: Optional[str] = None
+        for node in self.doc.body().descendants():
             if isinstance(node, TextNode):
                 text = node.text().strip()
                 sim = self._str_sim(text, meta_title)
-                if sim > 0 and sim > best[0]:
-                    best[0] = sim
-                    sb.clear()
-                    sb.append(text)
-
-        self.doc.body().traverse(head)
-        if sb:
-            return sb[0]
+                if sim > 0 and sim > best:
+                    best = sim
+                    best_text = text
+        if best_text is not None:
+            return best_text
         raise ValueError("title not found")
 
 

@@ -16,12 +16,11 @@ lists and explodes them into link-segment rows.
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
 from typing import Iterable, Iterator, List, Optional, Union
 
-from .dom import Element
+from .dom import Element, tokenize
 from .regex_rule import RegexRule
-from .urls import abs_url, abs_url_fast
+from .urls import abs_url_fast
 
 
 class Links:
@@ -44,9 +43,9 @@ class Links:
         return self
 
     def add_from_element(self, ele: Element, parse_img: bool = False) -> "Links":
-        self.add(ele.select("a[href]").each_attr("abs:href"))
+        self.add(_abs_attrs(ele, "href", "a"))
         if parse_img:
-            self.add(ele.select("img[src]").each_attr("abs:src"))
+            self.add(_abs_attrs(ele, "src", "img"))
         return self
 
     def add_by_selector(
@@ -67,13 +66,10 @@ class Links:
     ) -> "Links":
         if isinstance(rule, str):
             rule = RegexRule([rule])
-        for href in ele.select("a[href]").each_attr("abs:href"):
-            if rule.satisfy(href):
-                self.add(href)
+        satisfy = rule.satisfy
+        self._list.extend(u for u in _abs_attrs(ele, "href", "a") if satisfy(u))
         if parse_src:
-            for src in ele.select("*[src]").each_attr("abs:src"):
-                if rule.satisfy(src):
-                    self.add(src)
+            self._list.extend(u for u in _abs_attrs(ele, "src") if satisfy(u))
         return self
 
     def __iter__(self) -> Iterator[str]:
@@ -90,6 +86,19 @@ class Links:
 
     def __repr__(self) -> str:
         return f"Links({self._list!r})"
+
+
+def _abs_attrs(ele: Element, name: str, tag: Optional[str] = None) -> List[str]:
+    """`ele.select(f"{tag or '*'}[{name}]").each_attr(f"abs:{name}")` as
+    one walk by tag: the value of `name`, resolved against the document
+    base, for each element carrying it, in document order."""
+    d = ele.doc()
+    base = d.base_uri if d is not None else ""
+    return [
+        abs_url_fast(base, e.attrs[name])
+        for e in ele.elements()
+        if (tag is None or e.tag == tag) and name in e.attrs
+    ]
 
 
 def make_abs(doc, url: Optional[str] = None) -> None:
@@ -111,38 +120,35 @@ def make_abs(doc, url: Optional[str] = None) -> None:
 # ------------------------- vectorized autoParse fast path (no DOM) ---
 
 
-class _FastLinkScan(HTMLParser):
-    """SAX-level collector of a[href] (and *[src]) attribute values —
-    the exact event stream dom.parse consumes (same html.parser, same
-    convert_charrefs), with dom._TreeBuilder's attribute semantics
-    (lowercase names, FIRST duplicate wins, valueless attr -> ''), but
-    no tree build. Used by ExecuteStage's pure-autoParse fast path
-    (VERDICT r2 §wrong.4/§next.5): add_by_regex over the built DOM and
-    this scan see the same tags in the same document order."""
+class _FastLinkScan:
+    """Collector of a[href] (and *[src]) attribute values over the
+    event stream dom.parse builds its tree from (dom.tokenize: the
+    regex tokenizer, html.parser as its fallback), with
+    dom._TreeBuilder's attribute semantics (lowercase names, FIRST
+    duplicate wins, valueless attr -> ''), but no tree build. Used by
+    ExecuteStage's pure-autoParse fast path (VERDICT r2
+    §wrong.4/§next.5): add_by_regex over the built DOM and this scan see
+    the same tags in the same document order."""
 
     def __init__(self, parse_src: bool):
-        super().__init__(convert_charrefs=True)
         self.hrefs: List[str] = []
         self.srcs: List[str] = []
         self._parse_src = parse_src
 
-    def handle_starttag(self, tag, attrs):
-        tag = tag.lower()
-        if tag == "a":
-            seen = False
-            for k, v in attrs:
-                if k.lower() == "href" and not seen:
-                    self.hrefs.append(v if v is not None else "")
-                    seen = True
-        if self._parse_src and tag != "head":  # head attrs are dropped
-            seen = False
-            for k, v in attrs:
-                if k.lower() == "src" and not seen:
-                    self.srcs.append(v if v is not None else "")
-                    seen = True
+    def start(self, tag: str, attrs: dict, _self_closing: bool) -> None:
+        if tag == "a" and "href" in attrs:
+            self.hrefs.append(attrs["href"])
+        # head attrs are dropped by the tree builder
+        if self._parse_src and "src" in attrs and tag != "head":
+            self.srcs.append(attrs["src"])
 
-    def handle_startendtag(self, tag, attrs):
-        self.handle_starttag(tag, attrs)
+    def end(self, tag: str) -> None:
+        pass
+
+    def data(self, data: str) -> None:
+        pass
+
+    comment = decl = data
 
 
 def fast_links_by_regex(
@@ -154,9 +160,7 @@ def fast_links_by_regex(
     """Equivalent of Links().add_by_regex(dom.parse(html, base), rule,
     parse_src) without building the DOM: all a[href] abs-resolved and
     regex-filtered first, then (when parse_src) all *[src]."""
-    scan = _FastLinkScan(parse_src)
-    scan.feed(html)
-    scan.close()
+    scan = tokenize(html, lambda: _FastLinkScan(parse_src))
     out: List[str] = []
     for v in scan.hrefs:
         u = abs_url_fast(base_uri, v)

@@ -247,7 +247,7 @@ class PageStoreReader:
         if self.kind == "synth":
             from ..synth import row_for_url
 
-            row = row_for_url(self._spec, url)
+            row = row_for_url(self._spec, url, text=False)
             if row is None:
                 return None
             return {

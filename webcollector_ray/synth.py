@@ -219,7 +219,10 @@ def _list_html(spec: SynthSpec, site: int, i: int) -> str:
 </body></html>"""
 
 
-def page_row(spec: SynthSpec, gid: int) -> dict:
+def page_row(spec: SynthSpec, gid: int, text: bool = True) -> dict:
+    """The page row of global page id `gid`. `text=False` leaves the
+    golden `text` column None: a fetch reads only the response fields,
+    and the golden text regenerates the article's word stream."""
     site, kind, idx = spec.decode(gid)
     base = site_url(site)
     if kind == "list":
@@ -242,7 +245,7 @@ def page_row(spec: SynthSpec, gid: int) -> dict:
             "url": url,
             "warc_ts": _ts_ms(site, gid),
             "html": html.encode("utf-8"),
-            "text": expected_show_text(spec, site, idx),
+            "text": expected_show_text(spec, site, idx) if text else None,
             "lang": "en",
             "code": 200,
             "location": None,
@@ -286,10 +289,11 @@ _KIND_MAX = {
 _ROBOTS_RE = re.compile(r"^http://site(\d+)\.test/robots\.txt$")
 
 
-def row_for_url(spec: SynthSpec, url: str) -> Optional[dict]:
+def row_for_url(spec: SynthSpec, url: str, text: bool = True) -> Optional[dict]:
     """Regenerate the page row for a URL on demand (None = 404/no
     route). Pure function of (spec, url): lets a fetch stage serve the
-    synthetic web with ZERO stored bytes — the bench-scale page store."""
+    synthetic web with ZERO stored bytes — the bench-scale page store.
+    `text` as in page_row."""
     rm = _ROBOTS_RE.match(url)
     if rm is not None:
         site = int(rm.group(1))
@@ -312,7 +316,7 @@ def row_for_url(spec: SynthSpec, url: str) -> Optional[dict]:
     site, kind, idx = int(m.group(1)), m.group(2), int(m.group(3))
     if site >= spec.num_sites or idx >= getattr(spec, _KIND_MAX[kind]):
         return None
-    return page_row(spec, spec.encode(site, kind, idx))
+    return page_row(spec, spec.encode(site, kind, idx), text)
 
 
 def rows_to_table(rows: List[dict]) -> pa.Table:
