@@ -234,3 +234,15 @@ def test_outer_html_around_equals_outer_html():
             inner = p.outer_html_around(el, inner)
             assert inner == p.outer_html(), (el.tag, p.tag)
             el, p = p, p.parent
+
+
+def test_normalised_len_equals_text_len():
+    """normalised_len(s) == len(normalise_whitespace(s)), whitespace runs
+    of every kind and length included."""
+    import random
+
+    rng = random.Random(7)
+    alphabet = [" ", "  ", "\t", "\n", "\r", "\f", "\v", "\xa0", "a", "é", "<"]
+    for _ in range(2000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        assert dom.normalised_len(s) == len(dom.normalise_whitespace(s)), repr(s)

@@ -17,7 +17,7 @@ Prints one JSON line:
 - cpu count, /proc/stat steal ratio over the timed passes, and the
   git commit.
 
-Usage: python tools/probe_page_kernel.py [--repeat 5] [--sites 40]
+Usage: python tools/probe_page_kernel.py [--repeat 5]
 """
 from __future__ import annotations
 
@@ -43,6 +43,9 @@ from webcollector_ray.sources.pagestore import (  # noqa: E402
     SynthPageStore,
 )
 from webcollector_ray.stages.execute import ExecuteStage  # noqa: E402
+
+# a fixed page set, so pages/s and the digest compare across commits
+SITES = 40
 
 
 def _steal_jiffies() -> int:
@@ -73,9 +76,9 @@ def _commit() -> str:
         return ""
 
 
-def frontier(spec, sites: int):
+def frontier(spec):
     urls = []
-    for s in range(sites):
+    for s in range(SITES):
         urls += [f"http://site{s}.test/list-{i}.html"
                  for i in range(spec.lists_per_site)]
         urls += [f"http://site{s}.test/show-{j}.html"
@@ -98,13 +101,12 @@ def count_fallbacks(handle: dict, urls) -> int:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--sites", type=int, default=40)
     args = ap.parse_args()
 
     w = workloads.get("news_crawl")
     cfg = w.config(1)
     handle = SynthPageStore(w.spec).handle()
-    table = frontier(w.spec, args.sites)
+    table = frontier(w.spec)
 
     def run():
         stage = ExecuteStage(

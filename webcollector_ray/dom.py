@@ -91,6 +91,15 @@ def normalise_whitespace(s: str) -> str:
     return _WS_RUN.sub(" ", s)
 
 
+def normalised_len(s: str) -> int:
+    """len(normalise_whitespace(s)), without building the string when
+    no run can collapse: only a run of two or more whitespace chars, or
+    one that is not " ", changes the length."""
+    if "  " in s or "\n" in s or "\t" in s or "\r" in s or "\f" in s:
+        return len(_WS_RUN.sub(" ", s))
+    return len(s)
+
+
 class Node:
     __slots__ = ("parent",)
 
@@ -290,12 +299,6 @@ class Element(Node):
         for c in self.children:
             if c is child:
                 buf.append(child_html)
-            elif type(c) is TextNode:
-                raw = c.raw  # escape(raw, quote=False) without the call
-                buf.append(
-                    escape(raw, quote=False)
-                    if "&" in raw or "<" in raw or ">" in raw else raw
-                )
             else:
                 _node_html(c, buf)
         buf.append(f"</{self.tag}>")
@@ -316,7 +319,11 @@ def _node_html(c: Node, buf: List[str]) -> None:
     if isinstance(c, Element):
         c._html(buf)
     elif isinstance(c, TextNode):
-        buf.append(escape(c.raw, quote=False))
+        raw = c.raw  # escape(raw, quote=False) only when it changes raw
+        buf.append(
+            escape(raw, quote=False)
+            if "&" in raw or "<" in raw or ">" in raw else raw
+        )
     elif isinstance(c, CommentNode):
         buf.append(f"<!--{c.raw}-->")
 

@@ -124,7 +124,7 @@ class ContentExtractor:
         leaves = self._leaves
         info_map = self.info_map
         elems = self._elems
-        ws_run = dom._WS_RUN
+        normalised_len = dom.normalised_len
         root_info = _CountInfo(len(leaves))
         stack = [(root, root_info, iter(root.children))]
         while stack:
@@ -132,14 +132,7 @@ class ContentExtractor:
             for child in it:
                 t = type(child)
                 if t is TextNode:
-                    raw = child.raw
-                    # len(child.text()); only a run of two or more
-                    # whitespace chars, or one that is not " ", changes it
-                    if ("  " in raw or "\n" in raw or "\t" in raw
-                            or "\r" in raw or "\f" in raw):
-                        n = len(ws_run.sub(" ", raw))
-                    else:
-                        n = len(raw)
+                    n = normalised_len(child.raw)  # len(child.text())
                     info.text_count += n
                     leaves.append(n)
                 elif t is Element:
