@@ -48,7 +48,9 @@ class CrawlerConfig:
                                        # (A1): 0 sizes each merge to its input
                                        # rows and the cluster CPUs
                                        # (stages/merge.size_buckets); > 0
-                                       # forces exactly that many
+                                       # fixes the layout, that many output
+                                       # buckets, while the number of merge
+                                       # tasks still follows the data
     resumable: bool = False            # keep / reuse the crawl_path checkpoints
     checkpoint_readback: bool = False  # re-read each depth's parquet instead
                                        # of keeping object-store refs: lets

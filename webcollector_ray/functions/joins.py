@@ -148,9 +148,9 @@ def _split_sides(group: pa.Table, left_cols, right_cols):
 
 
 def _emit(df: pd.DataFrame, out_cols, out_types: Dict[str, pa.DataType]) -> pa.Table:
-    """pandas -> Arrow with the DECLARED schema (merge.py _restore_schema
-    pattern). NaN in a float column that is declared integral becomes a
-    null int, matching left-outer SQL semantics."""
+    """pandas -> Arrow with the DECLARED schema. NaN in a float column
+    that is declared integral becomes a null int, matching left-outer
+    SQL semantics."""
     arrays = []
     for c in out_cols:
         arrays.append(pa.Array.from_pandas(df[c], type=out_types[c]))
@@ -167,7 +167,13 @@ def _bucket_ids(col, num_buckets: int) -> np.ndarray:
             v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
             h = v * np.uint64(0x9E3779B97F4A7C15)
             return (h % np.uint64(num_buckets)).astype(np.int32)
-        col = col.to_pylist()
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            # the same object array as to_pylist(), built in C
+            col = col.to_numpy(zero_copy_only=False)
+        else:
+            # other types (timestamps, ...) convert to other Python
+            # objects through numpy, so they would hash differently
+            col = col.to_pylist()
     h = pd.util.hash_array(np.asarray(col, dtype=object), categorize=False)
     return (h % np.uint64(num_buckets)).astype(np.int32)
 

@@ -39,16 +39,6 @@ def eligible_mask(batch: pa.Table, max_count: int):
     )
 
 
-def count_eligible(table: Optional[pa.Table], max_count: int) -> int:
-    """Rows G1/G2 keep. User generator filters and topN can only DROP
-    among these, so 0 here means generate yields 0 under every
-    configuration — the crawler's A2 early-termination test."""
-    if table is None or len(table) == 0 or "status" not in table.column_names:
-        return 0
-    mask = eligible_mask(table, max_count)
-    return int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
-
-
 def filter_block(
     batch: pa.Table,
     max_count: int,

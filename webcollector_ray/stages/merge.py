@@ -18,30 +18,36 @@ Physical plan: a DIRECT two-round hash shuffle built from raw Ray
 tasks over block refs (SURVEY.md §7.0); the inputs are the block ref
 lists the crawler holds, or Datasets:
 
-    split: one task per group of input blocks (as many groups as an
-           auto-sized exchange has buckets) -> `num_buckets`
-           sub-tables (num_returns=num_buckets, so each reduce fetches
-           only its own partition slices); the slicing is the engine's
-           one split kernel, functions/joins.bucket_slices, launched
-           through joins.fan_out
-    reduce: one task per bucket -> concat + vectorized first-by-key
+    split:  one task per group of input blocks (as many groups as an
+            auto-sized exchange has buckets) tags each row with its
+            precedence and bucket and routes it to the reduce task that
+            owns the bucket (num_returns=reduce tasks, so each reduce
+            fetches only its own slices); the slicing is the engine's
+            one split kernel, functions/joins.bucket_slices, launched
+            through joins.fan_out
+    reduce: as many tasks as an auto-sized exchange has buckets, at
+            most one per bucket, each owning a contiguous bucket range
+            (`reduce_ranges`) -> concat + one Arrow sort + first row
+            per key (`first_per_key`) -> one table, row count and
+            eligible count per bucket
 
 This replaces ``union().groupby(bucket).map_groups(...)``: Ray Data's
 sort-based groupby costs ~0.1 s of fixed overhead per *input block*
 (boundary sampling + per-block sort + merge tasks) which dominated the
 per-depth wall time — with block counts compounding each depth — while
 the direct exchange is two task waves and caps the output at one
-block per bucket regardless of input fragmentation. Buckets are the
-reduce unit, not distinct keys, so tiny-group overhead and key skew
+block per bucket regardless of input fragmentation. Bucket ranges are
+the reduce unit, not distinct keys, so tiny-group overhead and key skew
 never appear.
 
 Bucket count: every exchange is sized to its data by `size_buckets`,
 next_pow2(max(cluster CPUs, ceil(input rows / ROW_TARGET))), unless
-the caller forces a positive count. A fixed count pays its per-bucket
-task and slice-ref cost at every size: 64 buckets cost a 100-row
-inject as much as a 10M-row merge, and are too many for a 2.6M-row
-merge on 4 CPUs (BASELINE.md, frontier-probe bucket sweep). Powers of
-two keep layouts nested: h mod 2n refines h mod n.
+the caller forces a positive count. A forced count fixes the layout
+only: the same bucket ids and one output table, count and eligible
+count per bucket, while both task waves keep the data's width, so a
+small merge at 32 buckets runs 4 reduce tasks on 4 CPUs, not 32 (each
+task has a fixed cost of a few ms that 6-300 rows never repay).
+Powers of two keep layouts nested: h mod 2n refines h mod n.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ import math
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -60,9 +66,7 @@ from ray.data.block import BlockAccessor
 
 from ..functions.joins import _bucket_ids, bucket_slices, fan_out
 from ..model import FRONTIER_SCHEMA
-from .generate import count_eligible
-
-_HELPER_COLS = ["__prec"]
+from .generate import eligible_mask
 
 # rows per bucket above which the sizing rule adds buckets. In the
 # frontier-probe sweep (BASELINE.md, 4 CPUs) the merge rate is flat
@@ -93,12 +97,22 @@ def size_buckets(num_buckets: int, rows: int,
     return 1 << (need - 1).bit_length()
 
 
+def reduce_ranges(num_buckets: int, ntasks: int) -> List[range]:
+    """The reduce wave's layout: task t owns the contiguous buckets b
+    with b * ntasks // num_buckets == t (the split's routing rule), so
+    with ntasks <= num_buckets every task owns at least one bucket."""
+    return [range(-(-t * num_buckets // ntasks),
+                  -(-(t + 1) * num_buckets // ntasks))
+            for t in range(ntasks)]
+
+
 @ray.remote
-def _split_blocks(num_buckets: int, precs: List[int], *tables):
-    """A group of input blocks -> num_buckets sub-tables (None when
-    empty), keys routed by joins._bucket_ids. Bucket routing is
-    internal to one exchange, so the hash only has to be stable within
-    a run."""
+def _split_blocks(ntasks: int, num_buckets: int, precs: List[int], *tables):
+    """A group of input blocks -> ntasks sub-tables (None when empty),
+    each row tagged with its precedence and its bucket
+    (joins._bucket_ids) and routed to the reduce task that owns the
+    bucket. Bucket routing is internal to one exchange, so the hash
+    only has to be stable within a run."""
     tagged = []
     for prec, t in zip(precs, tables):
         t = BlockAccessor.for_block(t).to_arrow()
@@ -110,43 +124,61 @@ def _split_blocks(num_buckets: int, precs: List[int], *tables):
             )
         )
     if not tagged:
-        return bucket_slices(None, None, num_buckets)
+        return bucket_slices(None, None, ntasks)
     table = pa.concat_tables(tagged, promote_options="permissive")
-    return bucket_slices(
-        table, _bucket_ids(table["key"], num_buckets), num_buckets
-    )
+    buckets = _bucket_ids(table["key"], num_buckets)
+    table = table.append_column("__bucket", pa.array(buckets))
+    task = buckets.astype(np.int64) * ntasks // num_buckets
+    return bucket_slices(table, task, ntasks)
 
 
-def _dedupe_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.sort_values(
-        ["key", "__prec", "url", "meta", "status"], kind="mergesort"
-    )
-    return df.drop_duplicates("key", keep="first")
+_SORT_KEYS = [(c, "ascending") for c in
+              ("__bucket", "key", "__prec", "url", "meta", "status")]
 
 
-def _restore_schema(batch: pa.Table) -> pa.Table:
-    batch = batch.drop_columns(
-        [c for c in _HELPER_COLS if c in batch.column_names]
-    )
-    cols = [
-        batch[name].cast(FRONTIER_SCHEMA.field(name).type)
-        for name in FRONTIER_SCHEMA.names
-    ]
-    return pa.table(dict(zip(FRONTIER_SCHEMA.names, cols)), schema=FRONTIER_SCHEMA)
+def first_per_key(table: pa.Table) -> pa.Table:
+    """The reduce kernel: `table`'s rows (tagged with __bucket and
+    __prec) sorted stably by (bucket, key, precedence, url, meta,
+    status), nulls last, and only the first row of each key kept —
+    the min-precedence row, ties broken by the smallest (url, meta,
+    status), then by input order."""
+    order = pc.sort_indices(table, sort_keys=_SORT_KEYS,
+                            null_placement="at_end")
+    if len(order) < 2:
+        return table.take(order)
+    key = table["key"].take(order).combine_chunks()
+    cur, prev = key[1:], key[:-1]
+    dup = pc.equal(cur, prev)
+    if key.null_count:  # null keys are one key, as in pandas
+        dup = pc.or_kleene(dup, pc.and_(pc.is_null(cur), pc.is_null(prev)))
+    keep = pa.concat_arrays(
+        [pa.array([True]), pc.invert(pc.fill_null(dup, False))])
+    return table.take(order.filter(keep))
 
 
-@ray.remote(num_returns=3)
-def _reduce_bucket(eligible_max_count, *parts):
-    """-> (merged bucket table, row count, generate-eligible count).
-    The eligible count rides back with the merge so the crawler's A2
+@ray.remote
+def _reduce_buckets(lo: int, hi: int, eligible_max_count: int, *parts):
+    """Buckets lo..hi-1 -> their merged tables, then their row counts,
+    then their generate-eligible counts (3 * (hi - lo) returns). The
+    eligible counts ride back with the merge so the crawler's A2
     early-termination check costs no extra task wave."""
+    n = hi - lo
     tables = [t for t in parts if t is not None and len(t)]
     if not tables:
-        return FRONTIER_SCHEMA.empty_table(), 0, 0
-    cat = pa.concat_tables(tables, promote_options="permissive")
-    df = _dedupe_bucket(cat.to_pandas())
-    out = _restore_schema(pa.Table.from_pandas(df, preserve_index=False))
-    return out, len(out), count_eligible(out, eligible_max_count)
+        return (FRONTIER_SCHEMA.empty_table(),) * n + (0,) * (2 * n)
+    out = first_per_key(pa.concat_tables(tables, promote_options="permissive"))
+    buckets = out["__bucket"].to_numpy()
+    out = out.select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
+    bounds = np.searchsorted(buckets, np.arange(lo, hi + 1))
+    # G1/G2 eligibility, summed per bucket through a prefix sum
+    elig = pc.fill_null(eligible_mask(out, eligible_max_count), False)
+    csum = np.concatenate([[0], np.cumsum(elig.to_numpy())])
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    return (
+        tuple(out.slice(a, b - a) for a, b in spans)
+        + tuple(b - a for a, b in spans)
+        + tuple(int(csum[b] - csum[a]) for a, b in spans)
+    )
 
 
 def dedupe_by_key_refs(
@@ -162,10 +194,11 @@ def dedupe_by_key_refs(
 
     A part is (blocks, precedence), its blocks either a list of block
     refs or a Dataset. `rows`, the input row count, sizes the exchange
-    (`size_buckets`: the bucket count at `num_buckets=0`, and the split
-    groups). The crawler passes the count it already holds; without it
-    the count is summed from the Dataset parts' block metadata, and a
-    ref-list part, which carries none, raises ValueError."""
+    (`size_buckets`: the bucket count at `num_buckets=0`, and the width
+    of both task waves at any count). The crawler passes the count it
+    already holds; without it the count is summed from the Dataset
+    parts' block metadata, and a ref-list part, which carries none,
+    raises ValueError."""
     if not parts:
         raise ValueError("no parts to merge")
     pairs, meta_rows = [], 0
@@ -183,30 +216,33 @@ def dedupe_by_key_refs(
         raise ValueError("no blocks to merge")
     if rows is None:
         rows = meta_rows
-    # the split wave is sized to the data like the reduce: as many
-    # tasks as an auto-sized exchange over these rows has buckets, so
-    # a depth's many small fetch and link blocks share split tasks
-    # instead of paying one task each. Grouped like
+    # both task waves are as wide as an auto-sized exchange over these
+    # rows has buckets: a depth's many small fetch and link blocks share
+    # split tasks, and a forced bucket count fixes the hash layout and
+    # the outputs, not the number of reduce tasks. Grouped like
     # joins.fan_out_grouped; each group's precedence list keeps this
     # loop here
     cpus = cluster_cpus()
-    ngroups = min(len(pairs), size_buckets(0, rows, cpus))
+    width = size_buckets(0, rows, cpus)
+    ngroups = min(len(pairs), width)
     num_buckets = size_buckets(num_buckets, rows, cpus)
+    ranges = reduce_ranges(num_buckets, min(width, num_buckets))
     split_refs = []
     for g in range(ngroups):
         group = pairs[g::ngroups]
         split_refs.append(fan_out(
-            _split_blocks, num_buckets,
+            _split_blocks, len(ranges), num_buckets,
             [p for p, _ in group], *[r for _, r in group],
         ))
     table_refs, count_refs, elig_refs = [], [], []
-    for b in range(num_buckets):
-        t_ref, c_ref, e_ref = _reduce_bucket.remote(
-            eligible_max_count, *[sr[b] for sr in split_refs]
+    for t, r in enumerate(ranges):
+        refs = _reduce_buckets.options(num_returns=3 * len(r)).remote(
+            r.start, r.stop, eligible_max_count,
+            *[sr[t] for sr in split_refs],
         )
-        table_refs.append(t_ref)
-        count_refs.append(c_ref)
-        elig_refs.append(e_ref)
+        table_refs += refs[:len(r)]
+        count_refs += refs[len(r):2 * len(r)]
+        elig_refs += refs[2 * len(r):]
     return table_refs, count_refs, elig_refs
 
 
