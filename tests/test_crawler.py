@@ -11,6 +11,7 @@ execute counts.
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -488,21 +489,22 @@ def test_generator_filter_runs_once(ray_session, pages, topn):
     assert retried  # failed pages were regenerated: the marker grew
 
 
-def test_run_execute_one_task_per_block(ray_session):
+def test_run_execute_one_task_per_block(ray_session, tmp_path):
     """run_execute: k block refs -> k fetch refs in block order, each
     block's fetch rows, link rows and tallies equal to an in-process
     ExecuteStage run over it (after generate.filter_block when the
-    blocks are raw crawldb buckets); with S seen shards each link slice
-    holds only keys with hash64 % S == s."""
-    import numpy as np
-    import pyarrow.compute as pc
+    blocks are raw crawldb buckets). With a seen filter each task drops
+    the links the filter's snapshot has seen, returns the kept keys'
+    hashes and leaves the filter as it was; with part dirs each task
+    writes its non-empty tables as part-<block> and tallies their
+    lineage."""
     import ray
 
     from webcollector_ray.model import STATUS_DB_UNEXECUTED, datums_to_table
     from webcollector_ray.sources.pagestore import SynthPageStore
     from webcollector_ray.stages.execute import ExecuteStage, run_execute
     from webcollector_ray.stages.generate import filter_block
-    from webcollector_ray.state.seen import HASH_COLUMN, hash64_batch
+    from webcollector_ray.state.seen import ShardedSeenFilter, hash64_batch
 
     spec = SynthSpec(num_sites=4, failures_per_site=1)
     store = SynthPageStore(spec)
@@ -543,36 +545,55 @@ def test_run_execute_one_task_per_block(ray_session):
         res = run_execute(refs, store.handle(), generate=generate,
                           **kw).materialize()
         assert len(res.fetch_refs) == len(blocks) == len(res.link_refs)
+        assert res.hash_refs is None
         stats = res.stats()
         for b, block in enumerate(blocks):
             fetch, link, tally = expected(block, generate)
             assert ray.get(res.fetch_refs[b]).to_pylist() == fetch
-            assert ray.get(res.link_refs[b][0]).to_pylist() == link
+            assert ray.get(res.link_refs[b]).to_pylist() == link
             assert stats[b] == tally
         assert res.count() == sum(s["n_fetch"] + s["n_link"] for s in stats)
         assert stats[2]["n_fetch"] == (3 if generate else 5)
         assert stats[2]["fail"] >= 1  # the missing page
 
-    shards = 4
-    res = run_execute(refs, store.handle(), generate=True,
-                      seen_shards=shards, **kw).materialize()
+    # seen-snapshot leg: the filter has seen every other link key
+    links = [r for block in blocks for r in expected(block, True)[1]]
+    assert all(r["status"] == STATUS_DB_UNEXECUTED for r in links)
+    link_keys = sorted({r["key"] for r in links})
+    old = set(link_keys[::2])
+    seen = ShardedSeenFilter(num_shards=4, bits_per_shard=1 << 16)
+    seen.insert(sorted(old))
+    dirs = tuple(str(tmp_path / name) for name in ("fetch", "link"))
+    for d in dirs:
+        os.makedirs(d)
+    res = run_execute(refs, store.handle(), generate=True, seen=seen,
+                      part_dirs=dirs, **kw).materialize()
+    stats = res.stats()
+    assert len(res.hash_refs) == len(blocks)
     for b, block in enumerate(blocks):
-        _, link, _ = expected(block, True)
-        slices = res.link_refs[b]
-        assert len(slices) == shards
-        got = []
-        for s, ref in enumerate(slices):
-            t = ray.get(ref)
-            if t is None or len(t) == 0:
+        fetch, link, tally = expected(block, True)
+        kept = [r for r in link if r["key"] not in old]
+        assert ray.get(res.fetch_refs[b]).to_pylist() == fetch
+        assert ray.get(res.link_refs[b]).to_pylist() == kept
+        assert ray.get(res.hash_refs[b]).tolist() == hash64_batch(
+            [r["key"] for r in kept]).tolist()
+        parts = stats[b].pop("parts")
+        assert stats[b] == dict(tally, n_link=len(kept))
+        for d, name, rows in zip(dirs, ("fetch", "link"), (fetch, kept)):
+            part = f"part-{b:05d}.parquet"
+            path = os.path.join(d, part)
+            if not rows:
+                assert parts[name] == [] and not os.path.exists(path)
                 continue
-            keys = t["key"].to_pylist()
-            h = hash64_batch(keys)
-            assert (h % np.uint64(shards) == s).all()
-            assert t[HASH_COLUMN].to_pylist() == h.tolist()
-            got += t.drop_columns([HASH_COLUMN]).to_pylist()
-        key = lambda r: (r["key"], r["url"])  # noqa: E731
-        assert sorted(got, key=key) == sorted(link, key=key)
-        assert all(r["status"] == STATUS_DB_UNEXECUTED for r in got)
+            assert parts[name] == [{"file": part, "rows": len(rows),
+                                    "bytes": os.path.getsize(path)}]
+            assert pq.read_table(path).to_pylist() == rows
+    # the wave only read the snapshot; the insert is the caller's
+    assert seen.approx_size() == len(old)
+    seen.insert_hashes(res.hash_refs)
+    assert seen.check(link_keys).all()
+    assert seen.approx_size() == len(link_keys)
+    seen.shutdown()
 
 
 def test_depth_metrics_stage_seconds(ray_session, pages, tmp_path):

@@ -293,3 +293,79 @@ def test_check_leaves_state_unchanged(ray_session, backend):
     assert not f.add_and_check(new).any()
     assert f.approx_size() == 200
     f.shutdown()
+
+
+def _same_shard(a, b) -> bool:
+    va, vb = vars(a), vars(b)
+    return va.keys() == vb.keys() and all(
+        np.array_equal(va[k], vb[k]) if isinstance(va[k], np.ndarray)
+        else va[k] == vb[k] for k in va)
+
+
+@pytest.mark.parametrize("backend", ["bloom", "cuckoo"])
+@pytest.mark.parametrize("num_shards", [1, 5])
+def test_split_probe_matches_add_and_check(ray_session, backend, num_shards):
+    """The crawler's probe is split: each fetch task runs check_snapshot
+    on the filter's state as the previous depth left it, and one
+    insert_hashes call then inserts every task's kept hashes. Depth by
+    depth that equals ONE add_and_check per shard over the depth's
+    concatenated batch: the same kept mask (duplicates inside a depth
+    stay unseen), approx_size and shard arrays. Small shards, so bloom
+    false positives and cuckoo kicks occur."""
+    import ray
+
+    from webcollector_ray.state.seen import (
+        _BloomShard,
+        _CuckooShard,
+        check_snapshot,
+    )
+
+    bits = 1 << 11
+    f = ShardedSeenFilter(num_shards=num_shards, bits_per_shard=bits,
+                          backend=backend)
+    ref = ([_BloomShard(bits) for _ in range(num_shards)]
+           if backend == "bloom" else
+           [_CuckooShard(max(1024, bits // 10)) for _ in range(num_shards)])
+    rng = np.random.default_rng(3)
+
+    def blocks(lo, hi, n):
+        # keys drawn with replacement: repeats inside and across blocks
+        keys = [f"http://s{i % 7}.test/p{i}"
+                for i in rng.integers(lo, hi, size=n)]
+        cut = sorted(rng.integers(0, n, size=2))
+        return [keys[:cut[0]], [], keys[cut[0]:cut[1]], keys[cut[1]:]]
+
+    # depths 2 and 4 repeat keys of earlier depths; depth 3 is all empty
+    depths = [blocks(0, 900, 700), blocks(600, 1500, 700), [[], []],
+              blocks(0, 2600, 1400)]
+    try:
+        for d, keys in enumerate(depths):
+            hashes = [hash64_batch(k) for k in keys]
+            states = [ray.get(s) if isinstance(s, ray.ObjectRef) else s
+                      for s in f.snapshot()]
+            kept = [~check_snapshot(states, num_shards, h) for h in hashes]
+
+            cat = np.concatenate(hashes)
+            want = np.zeros(len(cat), dtype=bool)
+            sid = (cat % np.uint64(num_shards)).astype(np.int64)
+            for s in range(num_shards):
+                idx = np.nonzero(sid == s)[0]
+                if len(idx):
+                    want[idx] = ref[s].add_and_check(cat[idx])
+            assert np.array_equal(np.concatenate(kept), ~want), d
+
+            sizes = f.insert_hashes(
+                [ray.put(h[k]) for h, k in zip(hashes, kept)])
+            assert sum(ray.get(sizes)) == sum(r.approx_size() for r in ref)
+            assert f.approx_size() == sum(r.approx_size() for r in ref), d
+            for st in f.snapshot():
+                for s, shard in ray.get(st).items():
+                    assert _same_shard(shard, ref[s]), (d, s)
+        inserted = sum(r.approx_size() for r in ref)
+        distinct = len({k for blks in depths for b in blks for k in b})
+        if backend == "bloom":  # a false positive dropped a new key
+            assert inserted < distinct
+        else:
+            assert inserted == distinct
+    finally:
+        f.shutdown()

@@ -6,20 +6,34 @@ crawldb, generate (filters + topN), fetch+visit every generated datum,
 write fetch/link segments; break early when totalGenerate == 0.
 
 Ray mapping: the driver holds every table as a list of Arrow block
-refs, and each depth is two raw task waves over them, plus the
-seen-filter probe when it is on:
+refs, and each depth is two raw task waves over them:
 
     crawldb = merge(crawldb, fetch_seg, link_seg)   # ONE shuffle
     fetch_seg, link_seg = run_execute(crawldb)      # one task per bucket:
                                                     # generate filter +
                                                     # fetch + visit + split
+                                                    # (+ seen probe, + parts)
 
 Every depth's crawldb is one merge result: the inject merge, the depth's
 own merge, or on resume the checkpoint's tables merged at the first
 resumed depth. A Dataset is built only where an API needs one: the
-returned crawldb, checkpoint reads, and the generate path that topN,
-priority, politeness routing and bucketed stores run (with the routing
-exchange) before the fetch wave.
+returned crawldb and the generate path that topN, priority, politeness
+routing and bucketed stores run (with the routing exchange) before the
+fetch wave. A resume reads its checkpoint as read-task refs.
+
+Each fetch task finishes its own rows. With the approximate seen filter
+it drops the links the filter's state (as the previous depth left it,
+handed over as read-only group state refs) has seen, and returns the
+kept key hashes; the driver then launches one insert task per filter
+group that nothing waits for, and the next depth's fetch tasks are
+ordered after it by the state refs. With checkpoints each fetch task
+writes its fetch and link rows as `fetch/part-<block>` and
+`link/part-<block>` and returns their lineage in its tallies, and the
+crawldb parts are written by raw tasks nothing waits for. Depth i
+commits (its `seen_size`, then its manifest from the returned lineage)
+once depth i+1's merge, or the final fold, is launched: the manifest
+is still written after every part of depth i exists, so it stays the
+commit point, but the driver never waits on a write wave.
 
 The merged crawldb and the segments are either checkpointed to
 Parquet (`crawl_path` mode == reference BreadthCrawler with RocksDB,
@@ -405,21 +419,26 @@ class Crawler:
             CheckpointStore(self.crawl_path) if self.crawl_path else None
         )
 
-        def checkpoint(table: list, i: int, name: str) -> list:
-            """Write a table; with readback, hold the parquet copy's refs
-            instead so the object store can evict frontier state (100TB
-            mode)."""
-            ckpt.write_table(table, i, name)
-            if cfg.checkpoint_readback:
-                return ckpt.read_dataset(i, name).to_arrow_refs()
-            return table
+        def commit(m: DepthMetrics, size_refs: list, db_writes: list,
+                   parts: dict) -> None:
+            """Finish a depth off the critical path: its seen-filter
+            size, then (checkpointing) the manifest, once every part of
+            the depth exists."""
+            if size_refs:
+                m.seen_size = sum(ray.get(size_refs))
+            if ckpt is not None:
+                parts = dict(crawldb=[e for e in ray.get(db_writes) if e],
+                             **parts)
+                ckpt.write_manifest(m.depth, dataclasses.asdict(m),
+                                    partitions=parts)
 
         # tables are block ref lists (None: known empty). `merged` is the
         # pending merge (table, count and eligible refs) that builds the
         # next depth's crawldb; every merge is sized from the rows the
         # driver already knows: seeds at inject, then the previous
-        # depth's crawldb_size + generated + links
-        crawldb = fetch_seg = link_seg = merged = None
+        # depth's crawldb_size + generated + links. `pending` is the
+        # previous depth's `commit` arguments.
+        crawldb = fetch_seg = link_seg = merged = pending = None
         merge_rows = 0
         start_depth = 0
         if ckpt is not None:
@@ -428,9 +447,9 @@ class Crawler:
             else:
                 last = ckpt.latest_complete_depth()
                 if last is not None:
-                    crawldb = ckpt.read_dataset(last, "crawldb").to_arrow_refs()
+                    crawldb = ckpt.read_refs(last, "crawldb")
                     fetch_seg, link_seg = (
-                        ckpt.read_dataset(last, name).to_arrow_refs()
+                        ckpt.read_refs(last, name)
                         if ckpt.has_table(last, name) else None
                         for name in ("fetch", "link")
                     )
@@ -475,24 +494,37 @@ class Crawler:
                     eligible_max_count=cfg.max_execute_count,
                     rows=merge_rows,
                 )
+            # the previous depth commits while this merge runs
+            if pending is not None:
+                commit(*pending)
+                pending = None
             crawldb, count_refs, elig_refs = merged
             merged = None
             m.merge_buckets = len(crawldb)
+            db_writes: list = []
+            if ckpt is not None:
+                ckpt.clear_depth(i)
+                db_writes = ckpt.write_parts(crawldb, i, "crawldb")
             m.crawldb_size = sum(ray.get(count_refs))
             eligible = sum(ray.get(elig_refs))
             if t_merge is not None:
                 m.merge_s = time.perf_counter() - t_merge
-            if ckpt is not None:
-                crawldb = checkpoint(crawldb, i, "crawldb")
+            if ckpt is not None and cfg.checkpoint_readback:
+                # with readback the crawler holds the parquet copies'
+                # refs, so the object store can evict frontier state
+                # (100TB mode)
+                ray.get(db_writes)
+                crawldb = ckpt.read_refs(i, "crawldb")
 
             # A2: no eligible row, no fetch wave; the depth ends the crawl
             fetch_seg = link_seg = None
+            parts: dict = {}
+            size_refs: list = []
             if eligible:
                 # 2. generate: on the common path each fetch task filters
                 # its own crawldb bucket (G1/G2/G4); topN and priority need
                 # a global step and routing a wide one, so those run
                 # generate here and hand the fetch wave filtered blocks
-                shards = self.seen.num_shards if self.seen is not None else 0
                 polite = cfg.politeness_budget_ms > 0
                 bucketed = store_handle.get("kind") == "bucketed"
                 in_task = not (cfg.topn > 0 or cfg.priority_meta_key
@@ -513,12 +545,15 @@ class Crawler:
                     # re-runs it (the sort too) under limit(1) for the schema
                     blocks = generated.materialize().to_arrow_refs()
 
-                # 3. execute: one raw task per block runs fetch + visit and
+                # 3. execute: one raw task per block runs fetch + visit,
                 # splits its output into fetch rows, tallies (A3) and link
-                # rows — with the seen filter already split by shard, so ONE
-                # probe task per shard group then drops the probably-seen
-                # rows (per-batch synchronous probes serialized the whole
-                # stage: 4.7x slower than no filter at 300k pages)
+                # rows, drops the links the seen filter's snapshot has
+                # seen and writes its own checkpoint parts; the kept
+                # hashes go into the filter by one task per shard group
+                # that nothing waits for (the next depth's probe is
+                # ordered after it by the state ref)
+                part_dirs = None if ckpt is None else tuple(
+                    ckpt.new_table_dir(i, name) for name in ("fetch", "link"))
                 t_exec = time.perf_counter()
                 exec_out = run_execute(
                     blocks,
@@ -527,7 +562,8 @@ class Crawler:
                     execute_time_ms=(1_000_000 + i) if self.deterministic_time else None,
                     generate=in_task,
                     generator_filter=self.generator_filter,
-                    seen_shards=shards,
+                    seen=self.seen,
+                    part_dirs=part_dirs,
                     visitor=self.visitor,
                     executor=self.executor,
                     auto_parse=self.auto_parse,
@@ -540,45 +576,44 @@ class Crawler:
                 m.links = sum(s["n_link"] for s in stats)
                 m.fetch_success = sum(s["ok"] for s in stats)
                 m.fetch_failed = sum(s["fail"] for s in stats)
-                lrefs = exec_out.link_refs
-                fetch_seg = exec_out.fetch_refs or None
-                if self.seen is not None and lrefs:
-                    link_seg, cnt_refs = self.seen.filter_new(lrefs)
-                    counts = ray.get(cnt_refs)
-                    m.links = sum(c[0] for c in counts)
-                    m.seen_size = sum(c[1] for c in counts)
-                elif lrefs:
-                    link_seg = [l[0] for l in lrefs]
-            if self.seen is not None and link_seg is None:
-                m.seen_size = self.seen.approx_size()
-            if ckpt is not None:
-                if fetch_seg is not None:
-                    fetch_seg = checkpoint(fetch_seg, i, "fetch")
-                if link_seg is not None:
-                    link_seg = checkpoint(link_seg, i, "link")
+                fetch_seg = exec_out.fetch_refs
+                link_seg = exec_out.link_refs
+                if self.seen is not None:
+                    size_refs = self.seen.insert_hashes(exec_out.hash_refs)
+                if ckpt is not None:
+                    parts = {name: [e for s in stats for e in s["parts"][name]]
+                             for name in ("fetch", "link")}
+                    if cfg.checkpoint_readback:
+                        fetch_seg = ckpt.read_refs(i, "fetch")
+                        link_seg = ckpt.read_refs(i, "link")
+            elif self.seen is not None:
+                size_refs = self.seen.size_refs()
 
             merge_rows = m.crawldb_size + m.generated + m.links
             m.seconds = time.perf_counter() - dt0
             result.depths.append(m)
-            if ckpt is not None:
-                ckpt.write_manifest(i, dataclasses.asdict(m))
+            pending = (m, size_refs, db_writes, parts)
             if m.generated == 0:  # Crawler.java:141-144
                 fetch_seg = link_seg = None
                 break
 
         if merged is not None:  # start(0): no depth took the inject merge
             crawldb = merged[0]
-        # fold trailing segments so the returned crawldb is the fixed point
-        if fetch_seg is not None or link_seg is not None:
+        # fold trailing segments so the returned crawldb is the fixed
+        # point; the last depth commits while the fold runs
+        fold = fetch_seg is not None or link_seg is not None
+        if fold:
             result.crawldb = merge_segments(
                 crawldb, fetch_seg, link_seg, cfg.merge_num_buckets,
                 rows=merge_rows,
             )
-            if ckpt is not None:
-                final_depth = result.depths[-1].depth if result.depths else 0
-                ckpt.write_table(result.crawldb, final_depth, "crawldb_final")
-        else:
+        if pending is not None:
+            commit(*pending)
+        if not fold:
             result.crawldb = rd.from_arrow_refs(crawldb)
+        elif ckpt is not None:
+            final_depth = result.depths[-1].depth if result.depths else 0
+            ckpt.write_table(result.crawldb, final_depth, "crawldb_final")
         result.seconds = time.time() - t0
         return result
 

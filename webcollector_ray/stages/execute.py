@@ -12,7 +12,12 @@ run_execute launches one task per frontier block, so every block is
 fetched on its own CPU (a Dataset map_batches bundles small blocks up
 to batch_size rows into one task) and a depth starts no streaming
 executor. Each task also runs the generate filter on a raw crawldb
-bucket and splits its output into fetch rows, tallies and link rows.
+bucket and finishes its own rows: it splits its output into fetch rows,
+tallies and link rows, drops the links the approximate seen filter has
+seen (a `check_snapshot` on the filter's group states as the previous
+depth left them, read-only and zero-copy) and returns the kept key
+hashes for the caller's insert, and in a checkpointed crawl writes its
+fetch and link rows as part files, their lineage in its tallies.
 The page-store reader and the visitor dispatch table are built once
 per worker process per call (_PROC_STAGE_CACHE) and reused across
 tasks and batches. Politeness (F4): the reference sleeps
@@ -35,6 +40,7 @@ non-empty (Fetcher.java:267-274).
 
 from __future__ import annotations
 
+import os
 import time
 import uuid
 from typing import Callable, List, Optional
@@ -59,7 +65,8 @@ from ..model import (
 from ..page import Page
 from ..regex_rule import RegexRule
 from ..sources.pagestore import PageStoreReader
-from ..state.seen import split_by_shard
+from ..state.frontier import part_name, write_part
+from ..state.seen import ShardedSeenFilter, check_snapshot, hash64_batch
 from ..urls import host_of
 from .generate import filter_block
 
@@ -358,13 +365,22 @@ class ExecuteStage:
 _PROC_STAGE_CACHE: dict = {}
 
 
-def _split_output(table: pa.Table, seen_shards: int):
-    """Executed rows -> (fetch rows, tallies, link rows): the links as
-    one table, or with a seen filter as seen_shards split_by_shard
-    slices."""
+def _finish_block(table: pa.Table, part_paths: Optional[tuple],
+                  seen_shards: int, seen_states: tuple):
+    """Executed rows -> (fetch rows, tallies, link rows[, kept link key
+    hashes]). With `seen_shards` the links a check_snapshot on
+    `seen_states` reports seen are dropped; with `part_paths` = (fetch
+    path, link path) both tables are written as part files and the
+    tallies carry their lineage entries under "parts"."""
     fmask = pc.equal(table["seg"], "fetch")
     fetch = table.filter(fmask).drop_columns(["seg"])
     link = table.filter(pc.invert(fmask)).drop_columns(["seg"])
+    out = []
+    if seen_shards:
+        hashes = hash64_batch(link["key"].to_pylist())
+        keep = ~check_snapshot(seen_states, seen_shards, hashes)
+        link = link.filter(pa.array(keep))
+        out.append(hashes[keep])
     ok = int(
         pc.sum(
             pc.cast(pc.equal(fetch["status"], STATUS_DB_SUCCESS), pa.int64())
@@ -377,20 +393,27 @@ def _split_output(table: pa.Table, seen_shards: int):
         "ok": ok,
         "fail": len(fetch) - ok,
     }
-    if seen_shards:
-        return (fetch, stats, *split_by_shard(link, seen_shards))
-    return fetch, stats, link
+    if part_paths is not None:
+        stats["parts"] = {
+            name: [e] if e else []
+            for name, e in (("fetch", write_part(fetch, part_paths[0])),
+                            ("link", write_part(link, part_paths[1])))
+        }
+    return (fetch, stats, link, *out)
 
 
 @ray.remote(num_cpus=1)
 def _execute_block(box: list, cache_key: str, generate: Optional[tuple],
-                   seen_shards: int, block):
-    """One frontier block -> 2 + max(1, seen_shards) returns: fetch
-    rows, {n_fetch, n_link, ok, fail}, link rows (or their seen-shard
-    slices). `box` holds the ray.put stage kwargs inside a list, so the
-    task only fetches them when its process has no cached stage for
-    this call; `generate` is (max_execute_count, generator_filter) when
-    the block is a raw crawldb bucket still to be filtered."""
+                   part_paths: Optional[tuple], seen_shards: int, block,
+                   *seen_states):
+    """One frontier block -> 3 returns (fetch rows, tallies, link rows),
+    or 4 with a seen filter (its kept key hashes last). `box` holds the
+    ray.put stage kwargs inside a list, so the task only fetches them
+    when its process has no cached stage for this call; `generate` is
+    (max_execute_count, generator_filter) when the block is a raw
+    crawldb bucket still to be filtered; `seen_states` are the filter's
+    group states as the previous depth left them (top-level arguments,
+    so Ray resolves them zero-copy)."""
     stage = _PROC_STAGE_CACHE.get(cache_key)
     if stage is None:
         stage = ExecuteStage(**ray.get(box[0]))
@@ -404,18 +427,20 @@ def _execute_block(box: list, cache_key: str, generate: Optional[tuple],
     step = max(1, stage.config.fetch_batch_size)
     outs = [stage(table.slice(o, step)) for o in range(0, len(table), step)]
     out = pa.concat_tables(outs) if outs else EXECUTE_OUT_SCHEMA.empty_table()
-    return _split_output(out, seen_shards)
+    return _finish_block(out, part_paths, seen_shards, seen_states)
 
 
 class ExecuteResult:
     """The refs of one execute wave, one entry per input block in block
-    order: fetch table refs, tally refs and, per block, its link refs
-    (one table, or one slice per seen shard)."""
+    order: fetch table refs, tally refs, link table refs and, with a
+    seen filter, kept link key hash refs (else None)."""
 
-    def __init__(self, fetch_refs: list, stat_refs: list, link_refs: list):
+    def __init__(self, fetch_refs: list, stat_refs: list, link_refs: list,
+                 hash_refs: Optional[list] = None):
         self.fetch_refs = fetch_refs
         self.stat_refs = stat_refs
         self.link_refs = link_refs
+        self.hash_refs = hash_refs
 
     def materialize(self) -> "ExecuteResult":
         """Wait for the whole wave; returns self."""
@@ -425,11 +450,12 @@ class ExecuteResult:
         return self
 
     def stats(self) -> List[dict]:
-        """Per-block {n_fetch, n_link, ok, fail} tallies."""
+        """Per-block {n_fetch, n_link, ok, fail} tallies, plus "parts"
+        ({fetch: entries, link: entries}) when the wave wrote them."""
         return ray.get(self.stat_refs)
 
     def count(self) -> int:
-        """Fetch + link rows, before any seen-filter probe."""
+        """Fetch + link rows, after the seen-filter probe."""
         return sum(s["n_fetch"] + s["n_link"] for s in self.stats())
 
 
@@ -441,7 +467,8 @@ def run_execute(
     execute_time_ms: Optional[int] = None,
     generate: bool = False,
     generator_filter: Optional[Callable] = None,
-    seen_shards: int = 0,
+    seen: Optional[ShardedSeenFilter] = None,
+    part_dirs: Optional[tuple] = None,
     **stage_kwargs,
 ) -> ExecuteResult:
     """Frontier block refs -> ExecuteResult: ONE task per block, never
@@ -451,7 +478,13 @@ def run_execute(
     buckets and each task first applies generate.filter_block (G1/G2 +
     `generator_filter`); the caller turns it off when generate already
     ran (topN, priority, routed fetch lists). One block is one task, so
-    host-routed blocks keep every host inside one stage instance."""
+    host-routed blocks keep every host inside one stage instance.
+
+    With `seen`, every task drops the links the filter's current
+    snapshot has seen and returns its kept key hashes; the caller
+    inserts them (`ShardedSeenFilter.insert_hashes`). With `part_dirs`
+    = (fetch dir, link dir), existing and empty, task b writes its
+    tables there as `part_name(b)`."""
     box = [ray.put(dict(
         store_handle=store_handle,
         config=config,
@@ -460,13 +493,19 @@ def run_execute(
     ))]
     cache_key = uuid.uuid4().hex
     gen = (config.max_execute_count, generator_filter) if generate else None
-    task = _execute_block.options(num_returns=2 + max(1, seen_shards))
-    fetch_refs, stat_refs, link_refs = [], [], []
-    for block in blocks:
-        f_ref, s_ref, *l_refs = task.remote(
-            box, cache_key, gen, seen_shards, block
+    states = seen.snapshot() if seen is not None else []
+    shards = seen.num_shards if seen is not None else 0
+    task = _execute_block.options(num_returns=4 if shards else 3)
+    fetch_refs, stat_refs, link_refs, hash_refs = [], [], [], []
+    for b, block in enumerate(blocks):
+        paths = None if part_dirs is None else tuple(
+            os.path.join(d, part_name(b)) for d in part_dirs)
+        f_ref, s_ref, l_ref, *h_ref = task.remote(
+            box, cache_key, gen, paths, shards, block, *states
         )
         fetch_refs.append(f_ref)
         stat_refs.append(s_ref)
-        link_refs.append(l_refs)
-    return ExecuteResult(fetch_refs, stat_refs, link_refs)
+        link_refs.append(l_ref)
+        hash_refs += h_ref
+    return ExecuteResult(fetch_refs, stat_refs, link_refs,
+                         hash_refs if shards else None)

@@ -8,23 +8,31 @@ Layout (SURVEY.md §4 checkpoint row):
     <root>/depth=<k>/_MANIFEST.json           counts + metrics + completeness marker
 
 The manifest is written LAST (atomic rename), so a depth directory
-without a manifest is incomplete and ignored on resume — this is the
+without a manifest is incomplete and ignored on resume, and the next run
+rewrites it (`clear_depth`). The crawler writes depth k's manifest off
+its critical path, once depth k+1's merge is launched, but only after
+every part of depth k exists. This is the
 Parquet equivalent of the reference's resumable crawldb
 (crawler/Crawler.java:101-110: `resumable` keeps the KV dirs; every
 executed/parsed datum lands in segments immediately and a crash loses
 only in-flight records). Resume = read the newest complete depth's
 crawldb + segments and continue; finished depths are never recomputed.
 
-I/O is a raw Ray task wave, not a Dataset execution (each of those costs
-~0.3-0.5 s of fixed latency whatever the table size). `write_table`
-takes the table as the crawler holds it, a list of block refs (a
-Dataset's blocks are accepted too), launches one `pq.write_table` task
-per block ref, writing block i as `part-<i:05d>.parquet` (an empty block
-writes no file), and sums the row counts the tasks return.
-`read_dataset` launches one read task per part file, in sorted name
-order, with the columns pinned to FRONTIER_SCHEMA, and wraps the result
-refs with `rd.from_arrow_refs`. Before reading a table of a depth that
-has a manifest it checks the part files on disk against the manifest's
+I/O is raw Ray tasks, not a Dataset execution (each of those costs
+~0.3-0.5 s of fixed latency whatever the table size). A part is written
+by `write_part` (`pq.write_table`, block i as `part-<i:05d>.parquet`,
+an empty block writes no file), which returns the part's lineage entry
+`{file, rows, bytes}`. The crawler calls it from its own tasks: each
+fetch task writes its fetch and link parts, and `write_parts` launches
+one task per crawldb block without waiting. The crawler then hands the
+returned entries to `write_manifest`, so no footer is re-opened.
+`write_table` (a list of block refs, or a Dataset's blocks) waits for
+its parts and returns the row count; `write_manifest` without
+`partitions` reads the lineage from the files' footers.
+`read_refs` launches one read task per part file, in sorted name order,
+with the columns pinned to FRONTIER_SCHEMA; `read_dataset` wraps them
+with `rd.from_arrow_refs`. Before reading a table of a depth that has a
+manifest, both check the part files on disk against the manifest's
 `partitions` lineage (names and byte sizes, one stat each): a missing,
 extra, truncated or otherwise resized part raises CheckpointCorruptError
 instead of resuming from a shorter frontier.
@@ -45,16 +53,27 @@ import ray
 from ..model import FRONTIER_SCHEMA
 
 
+def part_name(i: int) -> str:
+    """Block i's part file name: sorted names are block order."""
+    return f"part-{i:05d}.parquet"
+
+
 class CheckpointCorruptError(RuntimeError):
     """A checkpoint table's part files disagree with its manifest."""
 
 
-@ray.remote
-def _write_part(table: pa.Table, path: str) -> int:
-    if len(table) == 0:  # empty (possibly schema-less) block: no file
-        return 0
+def write_part(table: pa.Table, path: str) -> Optional[dict]:
+    """Write one part file -> its lineage entry {file, rows, bytes}, or
+    None for an empty (possibly schema-less) block, which writes no
+    file."""
+    if len(table) == 0:
+        return None
     pq.write_table(table, path)
-    return len(table)
+    return {"file": os.path.basename(path), "rows": len(table),
+            "bytes": os.path.getsize(path)}
+
+
+_write_part = ray.remote(write_part)
 
 
 @ray.remote
@@ -89,32 +108,40 @@ class CheckpointStore:
             shutil.rmtree(self.root)
         os.makedirs(self.root, exist_ok=True)
 
+    def clear_depth(self, depth: int) -> None:
+        """Drop what an interrupted run left of a depth it never
+        committed, before the depth is written again."""
+        shutil.rmtree(self.depth_dir(depth), ignore_errors=True)
+
     def exists(self) -> bool:
         return any(
             e.startswith("depth=") for e in os.listdir(self.root)
         ) if os.path.isdir(self.root) else False
 
     # --- write ---
+    def new_table_dir(self, depth: int, name: str) -> str:
+        """An empty directory for a table about to be written."""
+        path = self.table_dir(depth, name)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        os.makedirs(path, exist_ok=True)
+        return path
+
+    def write_parts(self, blocks: list, depth: int, name: str) -> list:
+        """Launch one write task per block ref, not awaited -> one ref
+        per block to its lineage entry (None for an empty block)."""
+        path = self.new_table_dir(depth, name)
+        return [_write_part.remote(ref, os.path.join(path, part_name(i)))
+                for i, ref in enumerate(blocks)]
+
     def write_table(self, blocks, depth: int, name: str) -> int:
         """Write a list of block refs (or a Dataset's blocks) as one
         checkpoint table, one part file per non-empty block; returns
         the row count."""
         if not isinstance(blocks, list):
             blocks = blocks.to_arrow_refs()
-        path = self.table_dir(depth, name)
-        if os.path.isdir(path):
-            shutil.rmtree(path)
-        os.makedirs(path, exist_ok=True)
-        return sum(
-            ray.get(
-                [
-                    _write_part.remote(
-                        ref, os.path.join(path, f"part-{i:05d}.parquet")
-                    )
-                    for i, ref in enumerate(blocks)
-                ]
-            )
-        )
+        return sum(e["rows"] for e in ray.get(self.write_parts(
+            blocks, depth, name)) if e)
 
     def partition_lineage(self, depth: int) -> dict:
         """Per-partition lineage: every parquet part written at this
@@ -138,9 +165,14 @@ class CheckpointStore:
             out[name] = parts
         return out
 
-    def write_manifest(self, depth: int, payload: dict) -> None:
+    def write_manifest(self, depth: int, payload: dict,
+                       partitions: Optional[dict] = None) -> None:
+        """Commit a depth: `partitions` is its lineage as the writers
+        returned it ({table: [{file, rows, bytes}] in file order}), or
+        None to read it from the files. Written last, by rename."""
         payload = dict(payload)
-        payload.setdefault("partitions", self.partition_lineage(depth))
+        payload["partitions"] = (self.partition_lineage(depth)
+                                 if partitions is None else partitions)
         tmp = self.manifest_path(depth) + ".tmp"
         with open(tmp, "w") as f:
             json.dump(payload, f, indent=1)
@@ -163,12 +195,12 @@ class CheckpointStore:
 
     def has_table(self, depth: int, name: str) -> bool:
         # a table the manifest lists parts for exists even if its
-        # directory is gone: read_dataset then refuses it loudly
+        # directory is gone: read_refs then refuses it loudly
         return bool(self._parts(depth, name) or self._lineage(depth, name))
 
-    def read_dataset(self, depth: int, name: str):
-        import ray.data as rd
-
+    def read_refs(self, depth: int, name: str) -> list:
+        """A checkpoint table as one read task ref per part file, after
+        the lineage check; one empty block when it has no parts."""
         path = self.table_dir(depth, name)
         parts = self._parts(depth, name)
         expected = self._lineage(depth, name)
@@ -184,10 +216,13 @@ class CheckpointStore:
                     f"manifest (missing, extra or resized: {bad})"
                 )
         if not parts:
-            return rd.from_arrow(FRONTIER_SCHEMA.empty_table())
-        return rd.from_arrow_refs(
-            [_read_part.remote(os.path.join(path, f)) for f in parts]
-        )
+            return [ray.put(FRONTIER_SCHEMA.empty_table())]
+        return [_read_part.remote(os.path.join(path, f)) for f in parts]
+
+    def read_dataset(self, depth: int, name: str):
+        import ray.data as rd
+
+        return rd.from_arrow_refs(self.read_refs(depth, name))
 
     def read_manifest(self, depth: int) -> Optional[dict]:
         p = self.manifest_path(depth)

@@ -15,23 +15,36 @@ A shard is a unit of state, not a process: the S shard objects are
 packed into G = min(S, cluster CPUs) groups, logical shard s in group
 s % G, and each group lives in the object store as ONE state ref. An
 operation is one plain task per group that receives the group's state:
-a mutating call (`add_and_check`, `add`, `delete`, the crawler's link
-probe) returns the new state next to its result and the driver swaps
-in the new ref; `check` and `approx_size` return no state. Successive
-calls on a group are ordered by that data dependency alone, so a call
-may be submitted without waiting (`insert`). A group's shards are
-built inside its first task from (shard class, arg, shard ids) — the
-driver never allocates the bit arrays. Each shard sees exactly the key
-batches it would see as its own process, so every mask and
+a mutating call (`add_and_check`, `add`, `delete`, the crawler's
+`insert_hashes`) returns the new state next to its result and the
+driver swaps in the new ref; `check` and `approx_size` return no state.
+Successive calls on a group are ordered by that data dependency alone,
+so a call may be submitted without waiting (`insert`). A group's shards
+are built inside its first task from (shard class, arg, shard ids) —
+the driver never allocates the bit arrays. Each shard sees exactly the
+key batches it would see as its own process, so every mask and
 `approx_size` is the same for any G, and a crawl starts no worker
 process of its own (the tasks run in Ray's pooled workers).
+
+The crawler's per-depth probe is split in two. Every fetch task is
+handed the G state refs as they stood after the previous depth
+(`snapshot`) and runs `check_snapshot` on its own links; the driver
+then inserts every task's kept hashes with ONE `_group_insert` task per
+group (`insert_hashes`). Both read the same pre-depth state, so the kept
+mask, `approx_size` and shard arrays equal one `add_and_check` per shard
+over the depth's concatenated links: a key repeated inside a depth is
+unseen each time (the merge drops the copies).
 
 Cost: a mutating task deep-copies its group's state before it touches
 it (an object-store input is read-only, and a retried task must re-run
 on the same input — which is also why a killed worker loses nothing).
 That is one copy of the group's bits per mutating call (1 MiB per
-default bloom shard), cheap at the crawler's one probe per depth but a
-real cost for callers that stream many small batches.
+default bloom shard), cheap at the crawler's one insert per depth but a
+real cost for callers that stream many small batches. The split probe
+sends the state to the links rather than the links to the state: every
+fetch task reads all G states (zero-copy on one node, one pull per node
+per depth across nodes; S x 1 MiB at the defaults) instead of splitting
+its links by shard and exchanging them to one probe task per group.
 
 Because blooms have false positives, pre-dropping "seen" links loses
 (~fp_rate) genuinely-new URLs — so this is only used when
@@ -61,15 +74,8 @@ from typing import List, Sequence
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 import ray
-
-from ..functions.joins import bucket_slices
-from ..model import FRONTIER_SCHEMA
-
-# column carrying a link row's key hash from split_by_shard to the probe
-HASH_COLUMN = "__h"
 
 
 def hash64_batch(keys: Sequence[str]) -> np.ndarray:
@@ -357,42 +363,40 @@ def _group_size(state) -> int:
     return sum(sh.approx_size() for sh in _built(state).values())
 
 
-@ray.remote
-def _group_filter(state, shard_ids, n_blocks: int, *parts):
-    """The crawler's per-depth link probe for one group: `parts` holds
-    each of its shards' slices (n_blocks per shard, shard-major, carrying
-    HASH_COLUMN). ONE add_and_check per shard over its concatenated
-    rows -> (new state, (kept rows, group inserts), kept table of each
-    shard without HASH_COLUMN)."""
+@ray.remote(num_returns=2)
+def _group_insert(state, num_shards: int, *hashes):
+    """The crawler's per-depth insert for one group: `hashes` holds
+    every fetch task's kept key hashes (keys of any shard) -> (new
+    state, group inserts). Each shard takes ONE add_and_check over its
+    keys, in fetch-task order."""
     shards = _owned(state)
-    kept = []
-    for j, s in enumerate(shard_ids):
-        tables = [
-            t for t in parts[j * n_blocks:(j + 1) * n_blocks]
-            if t is not None and len(t)
-        ]
-        if not tables:
-            kept.append(FRONTIER_SCHEMA.empty_table())
-            continue
-        cat = pa.concat_tables(tables, promote_options="permissive")
-        seen = shards[s].add_and_check(cat[HASH_COLUMN].to_numpy())
-        kept.append(cat.filter(pa.array(~seen)).drop_columns([HASH_COLUMN]))
-    size = sum(sh.approx_size() for sh in shards.values())
-    return (shards, (sum(len(t) for t in kept), size), *kept)
+    h = np.concatenate(hashes) if hashes else np.zeros(0, np.uint64)
+    sid = h % np.uint64(num_shards)
+    for s, shard in shards.items():
+        mine = h[sid == s]
+        if len(mine):
+            shard.add_and_check(mine)
+    return shards, sum(sh.approx_size() for sh in shards.values())
 
 
-def split_by_shard(table: pa.Table, num_shards: int) -> list:
-    """A key table -> num_shards slices by seen shard (None when empty),
-    each row carrying its key hash as HASH_COLUMN so the probe does not
-    re-hash."""
-    if table is None or len(table) == 0:
-        return [None] * num_shards
-    hashes = hash64_batch(table["key"].to_pylist())
+def check_snapshot(states: Sequence, num_shards: int,
+                   hashes: np.ndarray) -> np.ndarray:
+    """The probe a fetch task runs: the already-seen mask of `hashes`
+    against the group states of `ShardedSeenFilter.snapshot` (resolved,
+    read-only: `check` never writes). A group still at its build spec
+    has seen nothing."""
+    seen = np.zeros(len(hashes), dtype=bool)
+    if not len(hashes):
+        return seen
     sid = (hashes % np.uint64(num_shards)).astype(np.int64)
-    out = bucket_slices(
-        table.append_column(HASH_COLUMN, pa.array(hashes)), sid, num_shards
-    )
-    return [out] if num_shards == 1 else list(out)
+    for state in states:
+        if isinstance(state, tuple):
+            continue
+        for s, shard in state.items():
+            idx = np.nonzero(sid == s)[0]
+            if len(idx):
+                seen[idx] = shard.check(hashes[idx])
+    return seen
 
 
 class ShardedSeenFilter:
@@ -497,28 +501,31 @@ class ShardedSeenFilter:
             )
         return self._call("delete", keys)
 
-    def filter_new(self, slices: List[list]):
-        """Keep the probably-unseen rows of a link segment and mark
-        them seen: `slices[b][s]` is block b's split_by_shard slice for
-        shard s. One task per group, nothing awaited -> (kept table ref
-        of each shard in shard order, one (kept rows, group inserts)
-        ref per group)."""
-        kept: list = [None] * self.num_shards
-        counts = []
+    def snapshot(self) -> list:
+        """Each group's current state (a ref, or its build spec), for
+        `check_snapshot` in the tasks it is handed to. A task that
+        receives the refs as arguments runs after every call submitted
+        before, and sees none submitted after."""
+        return list(self._states)
+
+    def insert_hashes(self, hash_refs: list) -> list:
+        """Insert the kept key hashes of one fetch wave (one uint64
+        array ref per task): one task per group, nothing awaited -> one
+        ref per group to its insert count after the insert."""
+        sizes = []
         for g in range(self.num_groups):
-            ids = list(range(g, self.num_shards, self.num_groups))
-            out = _group_filter.options(num_returns=2 + len(ids)).remote(
-                self._states[g], ids, len(slices),
-                *[sl[s] for s in ids for sl in slices],
+            self._states[g], size = _group_insert.remote(
+                self._states[g], self.num_shards, *hash_refs
             )
-            self._states[g] = out[0]
-            counts.append(out[1])
-            for s, r in zip(ids, out[2:]):
-                kept[s] = r
-        return kept, counts
+            sizes.append(size)
+        return sizes
+
+    def size_refs(self) -> list:
+        """One ref per group to its insert count, not awaited."""
+        return [_group_size.remote(st) for st in self._states]
 
     def approx_size(self) -> int:
-        return sum(ray.get([_group_size.remote(st) for st in self._states]))
+        return sum(ray.get(self.size_refs()))
 
     def shutdown(self) -> None:
         """Drop the state refs (the object store frees them)."""
